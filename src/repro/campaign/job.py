@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from ..config import GPUConfig, get_preset
-from ..parallel import ExecutionPlan
 
 #: Bumped whenever the fingerprinted spec layout changes, invalidating
 #: cached results written by incompatible builds.
@@ -55,14 +54,8 @@ class Job:
     params: Dict[str, object] = field(default_factory=dict)
     #: Display name only — never part of the fingerprint.
     label: Optional[str] = None
-    #: How to execute: an :class:`~repro.parallel.ExecutionPlan`, a dict of
-    #: its fields, or a bare worker count (coerced).  Execution detail only:
-    #: results are bit-identical for any plan, so it is deliberately NOT
-    #: part of the fingerprint (cached serial results stay valid).
-    execution: Union[ExecutionPlan, Dict[str, object], int, None] = None
 
     def __post_init__(self) -> None:
-        self.execution = ExecutionPlan.coerce(self.execution)
         if self.scene and self.graphics_trace:
             raise ValueError("give either scene or graphics_trace, not both")
         if self.compute and self.compute_trace:
@@ -147,7 +140,6 @@ class Job:
             "compute_trace": self.compute_trace,
             "params": dict(self.params),
             "label": self.label,
-            "execution": self.execution.to_dict(),
         }
 
     @classmethod
@@ -155,16 +147,15 @@ class Job:
         known = {
             "scene", "res", "lod_enabled", "compute", "compute_args",
             "policy", "config", "sample_interval", "graphics_trace",
-            "compute_trace", "params", "label", "execution", "workers",
+            "compute_trace", "params", "label",
         }
-        unknown = set(data) - known
+        # Job files written by older builds carry execution settings
+        # ("execution", "workers"); they never affected results, so drop them.
+        legacy = {"execution", "workers"}
+        unknown = set(data) - known - legacy
         if unknown:
             raise ValueError("unknown job fields: %s" % sorted(unknown))
-        kwargs = dict(data)
-        # Legacy job files carry a bare worker count; fold it into a plan.
-        workers = kwargs.pop("workers", None)
-        if workers is not None and kwargs.get("execution") is None:
-            kwargs["execution"] = ExecutionPlan(workers=int(workers))
+        kwargs = {k: v for k, v in data.items() if k not in legacy}
         config = kwargs.get("config")
         if isinstance(config, dict):
             cache_fields = {"l1", "l2"}

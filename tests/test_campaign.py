@@ -74,6 +74,20 @@ class TestJobFingerprint:
         assert restored.fingerprint() == job.fingerprint()
         assert restored.display_label == job.display_label
 
+    def test_legacy_execution_keys_are_ignored(self):
+        """Job files (and POST /submit bodies) written by older builds
+        carry "execution"/"workers"; they load, drop out of the round
+        trip, and leave the fingerprint (so cached results) unchanged."""
+        job = nano_job("tap")
+        legacy = dict(job.to_dict(), workers=4,
+                      execution={"engine": "process", "workers": 2})
+        loaded = Job.from_dict(json.loads(json.dumps(legacy)))
+        assert loaded.fingerprint() == job.fingerprint()
+        assert loaded.to_dict() == job.to_dict()
+        assert "execution" not in loaded.to_dict()
+        with pytest.raises(ValueError, match="unknown job fields"):
+            Job.from_dict(dict(job.to_dict(), engine="process"))
+
     def test_rejects_empty_and_conflicting_specs(self):
         with pytest.raises(ValueError):
             Job()
