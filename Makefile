@@ -4,7 +4,7 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: test lint bench bench-smoke bench-compare fuzz fuzz-smoke \
-	check-goldens qos-smoke qos-campaign serve-smoke
+	check-goldens qos-smoke qos-campaign serve-smoke perfbench-selftest
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -58,6 +58,11 @@ qos-campaign:
 # assert /runs and /compare serve real payloads, then tear down.
 serve-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/serve_smoke.py
+
+# Self-tests of the perfbench harness: pin digests, seeded pair choice,
+# span recorder and host-speed probes.  A few seconds, no timing gates.
+perfbench-selftest:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest perfbench/tests -q
 
 # The full figure/table reproduction suite.
 bench:

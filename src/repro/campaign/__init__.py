@@ -26,7 +26,7 @@ from .execute import (
     JobResult,
     JobTimeoutError,
     run_job,
-    run_job_guarded,
+    run_jobs_guarded,
 )
 from .job import FINGERPRINT_VERSION, Job
 from .manifest import CampaignManifest, campaign_id
@@ -52,5 +52,5 @@ __all__ = [
     "default_cache_dir",
     "run_campaign",
     "run_job",
-    "run_job_guarded",
+    "run_jobs_guarded",
 ]

@@ -1,10 +1,12 @@
 """Job execution: the function campaign worker processes actually run.
 
-Everything in this module is top-level and operates on plain data, so it
-pickles cleanly into a ``ProcessPoolExecutor``.  A worker never raises:
-failures (including per-job timeouts, enforced with ``SIGALRM`` inside the
-worker process itself) come back as a failed :class:`JobResult`, which
-keeps crash handling and retry logic in the parent deterministic.
+A worker runs one *task*: the jobs of a campaign that share a trace key,
+traced once and simulated once per job.  Everything in this module is
+top-level and operates on plain data, so it pickles cleanly into a
+``ProcessPoolExecutor``.  A worker never raises: failures (including
+per-job timeouts, enforced with ``SIGALRM`` inside the worker process
+itself) come back as failed :class:`JobResult` objects, which keeps
+crash handling and retry logic in the parent deterministic.
 """
 
 from __future__ import annotations
@@ -12,11 +14,13 @@ from __future__ import annotations
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence
 
 from ..api import simulate
 from ..core.platform import collect_streams
+from ..isa import KernelTrace
 from .job import Job
 
 #: Terminal job states.
@@ -37,6 +41,8 @@ class JobResult:
     fingerprint: str
     label: str
     status: str
+    #: Wall time of this job inside its task.  The task's first job also
+    #: carries the trace its later jobs reuse.
     wall_seconds: float = 0.0
     #: ``GPUStats.to_dict()`` of the run (None on failure).
     stats: Optional[dict] = None
@@ -101,24 +107,25 @@ def _policy_extras(policy) -> Dict[str, object]:
     return extras
 
 
-def run_job(job: Job) -> JobResult:
-    """Simulate one job to completion; raises on any failure."""
-    start = time.perf_counter()
-    config = job.resolved_config()
-    streams = collect_streams(
-        config,
+def _trace(job: Job) -> Dict[int, List[KernelTrace]]:
+    """Trace the streams a job simulates (shared by its whole task)."""
+    return collect_streams(
+        job.resolved_config(),
         scene=job.scene, res=job.res, lod_enabled=job.lod_enabled,
         compute=job.compute, compute_args=job.compute_args,
         graphics_trace=job.graphics_trace, compute_trace=job.compute_trace,
     )
+
+
+def run_job(job: Job, streams: Dict[int, List[KernelTrace]]) -> JobResult:
+    """Simulate one job on already-traced streams; raises on any failure."""
     result = simulate(
-        config=config, streams=streams, policy=job.policy,
+        config=job.resolved_config(), streams=streams, policy=job.policy,
         sample_interval=job.sample_interval)
     return JobResult(
         fingerprint=job.fingerprint(),
         label=job.display_label,
         status=STATUS_OK,
-        wall_seconds=time.perf_counter() - start,
         stats=result.stats.to_dict(),
         extras=_policy_extras(result.policy),
     )
@@ -128,34 +135,60 @@ def _alarm_handler(signum, frame):  # pragma: no cover - fires only on timeout
     raise JobTimeoutError()
 
 
-def run_job_guarded(job: Job, timeout: Optional[float] = None) -> JobResult:
-    """Run one job, converting every failure into a failed JobResult.
+@contextmanager
+def _time_limit(timeout: Optional[float]):
+    """Raise :class:`JobTimeoutError` in the body after ``timeout`` s."""
+    if timeout is None or not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
+    signal.setitimer(signal.ITIMER_REAL, timeout)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old_handler)
 
-    The timeout is armed *inside* the (worker) process with an interval
-    timer, so a wedged simulation cannot outlive its budget no matter how
+
+def run_jobs_guarded(jobs: Sequence[Job],
+                     timeout: Optional[float] = None) -> List[JobResult]:
+    """Run one task — jobs that share a :meth:`~Job.trace_key` — and
+    return one result per job, in order, converting every failure into a
+    failed :class:`JobResult`.
+
+    The streams are traced once, inside the first job's time budget (so
+    its ``wall_seconds`` includes the trace), and every job then simulates
+    on them under its own budget.  If tracing fails, every job of the task
+    gets that failure.  Each budget is armed *inside* the (worker) process
+    with an interval timer, so a wedged job cannot outlive it no matter how
     the parent schedules futures.
     """
-    start = time.perf_counter()
-    use_alarm = timeout is not None and hasattr(signal, "SIGALRM")
-    old_handler = None
-    if use_alarm:
-        old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
-        signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        return run_job(job)
-    except JobTimeoutError:
-        return JobResult(
-            fingerprint=job.fingerprint(), label=job.display_label,
-            status=STATUS_TIMEOUT,
-            wall_seconds=time.perf_counter() - start,
-            error="timed out after %.3gs" % timeout)
-    except Exception:
-        return JobResult(
-            fingerprint=job.fingerprint(), label=job.display_label,
-            status=STATUS_FAILED,
-            wall_seconds=time.perf_counter() - start,
-            error=traceback.format_exc(limit=8))
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, old_handler)
+    streams = None
+    results: List[JobResult] = []
+    for job in jobs:
+        start = time.perf_counter()
+        try:
+            with _time_limit(timeout):
+                if streams is None:
+                    streams = _trace(job)
+                result = run_job(job, streams)
+        except JobTimeoutError:
+            result = JobResult(
+                fingerprint=job.fingerprint(), label=job.display_label,
+                status=STATUS_TIMEOUT,
+                error="timed out after %.3gs" % timeout)
+        except Exception:
+            result = JobResult(
+                fingerprint=job.fingerprint(), label=job.display_label,
+                status=STATUS_FAILED,
+                error=traceback.format_exc(limit=8))
+        result.wall_seconds = time.perf_counter() - start
+        results.append(result)
+        if streams is None:
+            # Tracing failed: the rest of the task has nothing to run on.
+            results.extend(
+                replace(result, fingerprint=rest.fingerprint(),
+                        label=rest.display_label, wall_seconds=0.0)
+                for rest in jobs[1:])
+            break
+    return results

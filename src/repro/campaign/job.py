@@ -99,6 +99,18 @@ class Job:
                        separators=(",", ":")))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
+    def trace_key(self) -> str:
+        """Canonical form of the inputs the job's streams are traced from.
+
+        Jobs that differ only in policy, sampling interval or free-form
+        params share a key, so a campaign traces their workload once and
+        simulates every one of them on the same streams.
+        """
+        spec = self.spec_dict()
+        for name in ("policy", "sample_interval", "params"):
+            del spec[name]
+        return json.dumps(spec, sort_keys=True)
+
     # -- presentation / serialization ----------------------------------------
     def default_label(self) -> str:
         gfx = self.scene or (self.graphics_trace and "gfx-trace") or None

@@ -5,10 +5,13 @@ Execution model:
 * Every job gets a content fingerprint; cache hits short-circuit without
   simulating (this is also what makes a killed campaign resumable — finished
   work is already on disk).
-* Misses run either in-process (``workers=1``) or across a
-  ``ProcessPoolExecutor``.  Results are indexed by the job's position in
-  the submitted list, never by completion order, so a parallel campaign's
-  output is identical to the serial one job-for-job.
+* Misses are grouped into tasks by :meth:`Job.trace_key`, so each
+  workload is traced once and its streams reused by every policy that
+  shares them (see :func:`split_tasks`).  Tasks run either in-process
+  (``workers=1``) or across a ``ProcessPoolExecutor``.  Results are
+  indexed by the job's position in the submitted list, never by
+  completion order, so a parallel campaign's output is identical to the
+  serial one job-for-job.
 * A job that crashes (including a died worker process) is retried once by
   default; per-job timeouts are enforced inside the worker itself.
 """
@@ -31,7 +34,7 @@ from .execute import (
     STATUS_FAILED,
     STATUS_OK,
     JobResult,
-    run_job_guarded,
+    run_jobs_guarded,
 )
 from .job import Job
 from .manifest import CampaignManifest
@@ -192,9 +195,9 @@ class CampaignRunner:
                 pending.append((i, job, fp))
 
         # 2. Simulate misses, retrying crashes/timeouts once by default.
-        #    Each result is persisted and reported the moment it completes
-        #    (not at wave end), so a killed campaign loses at most the
-        #    jobs that were still in flight.
+        #    Each result is persisted and reported the moment its task
+        #    completes (not at wave end), so a killed campaign loses at
+        #    most the tasks that were still in flight.
         wave = pending
         for attempt in range(1, self.retries + 2):
             if not wave:
@@ -261,39 +264,70 @@ class CampaignRunner:
 
     def _execute_wave(self, wave: Sequence[Tuple[int, Job, str]],
                       on_complete) -> List[JobResult]:
-        if self.workers <= 1 or len(wave) <= 1:
-            out = []
-            for _, job, fp in wave:
-                self._heartbeat("job_start", fingerprint=fp,
-                                label=job.display_label)
-                result = run_job_guarded(job, self.timeout)
-                on_complete(job, fp, result)
-                out.append(result)
-            return out
+        tasks = split_tasks([job.trace_key() for _, job, _ in wave],
+                            self.workers)
         results: List[Optional[JobResult]] = [None] * len(wave)
-        with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(wave))) as pool:
-            futures = {}
-            for idx, (_, job, fp) in enumerate(wave):
+
+        def start(task: List[int]) -> List[Job]:
+            for idx in task:
+                _, job, fp = wave[idx]
                 self._heartbeat("job_start", fingerprint=fp,
                                 label=job.display_label)
-                futures[pool.submit(run_job_guarded, job, self.timeout)] = idx
-            for future in as_completed(futures):
-                idx = futures[future]
+            return [wave[idx][1] for idx in task]
+
+        def finish(task: List[int], outcomes: List[JobResult]) -> None:
+            for idx, result in zip(task, outcomes):
                 _, job, fp = wave[idx]
+                results[idx] = result
+                on_complete(job, fp, result)
+
+        if self.workers <= 1 or len(tasks) <= 1:
+            # In-process; each task's streams are dropped before the next.
+            for task in tasks:
+                finish(task, run_jobs_guarded(start(task), self.timeout))
+            return [r for r in results if r is not None]
+        with ProcessPoolExecutor(
+                max_workers=min(self.workers, len(tasks))) as pool:
+            futures = {pool.submit(run_jobs_guarded, start(task),
+                                   self.timeout): task
+                       for task in tasks}
+            for future in as_completed(futures):
+                task = futures[future]
                 try:
-                    results[idx] = future.result()
+                    outcomes = future.result()
                 except BrokenProcessPool:
                     # The worker died outright (OOM kill, segfault): the
                     # guarded wrapper never got to report, so synthesise
                     # the failure here and let the retry wave — which
                     # builds a fresh pool — take another shot.
-                    results[idx] = JobResult(
-                        fingerprint=fp, label=job.display_label,
-                        status=STATUS_FAILED,
-                        error="worker process died before returning")
-                on_complete(job, fp, results[idx])
+                    outcomes = [
+                        JobResult(fingerprint=wave[idx][2],
+                                  label=wave[idx][1].display_label,
+                                  status=STATUS_FAILED,
+                                  error="worker process died before "
+                                        "returning")
+                        for idx in task]
+                finish(task, outcomes)
         return [r for r in results if r is not None]
+
+
+def split_tasks(keys: Sequence[str], workers: int) -> List[List[int]]:
+    """Group job indices into tasks that each trace one workload once.
+
+    Jobs sharing a trace key form one task, in first-seen order.  While
+    there are fewer tasks than ``min(workers, len(keys))``, the largest
+    task is halved so that every worker has something to run.
+    """
+    groups: Dict[str, List[int]] = {}
+    for idx, key in enumerate(keys):
+        groups.setdefault(key, []).append(idx)
+    tasks = list(groups.values())
+    while len(tasks) < min(workers, len(keys)):
+        largest = max(range(len(tasks)), key=lambda t: len(tasks[t]))
+        task = tasks[largest]
+        half = (len(task) + 1) // 2
+        tasks[largest:largest + 1] = [task[:half], task[half:]]
+    return tasks
 
 
 def run_campaign(jobs: Sequence[Job], workers: int = 1,

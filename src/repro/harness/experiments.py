@@ -340,7 +340,8 @@ def run_policy_comparison(
     ``jobs`` fans the sweep out over worker processes; ``cache_dir`` (or a
     pre-built ``runner``) turns re-runs into cache hits.  Results are
     identical to the old serial in-process loop — campaign job ordering is
-    deterministic and each point's traces regenerate bit-identically.
+    deterministic and each pair is traced once per task, then simulated
+    under every policy on the same streams.
     """
     from ..campaign import CampaignRunner
     if runner is None:

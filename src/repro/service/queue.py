@@ -243,8 +243,8 @@ class JobQueue:
     def _execute(self, job):
         if self._runner is not None:
             return self._runner(job)
-        from ..campaign.execute import run_job_guarded
-        return run_job_guarded(job, None)
+        from ..campaign.execute import run_jobs_guarded
+        return run_jobs_guarded([job])[0]
 
     def _run(self, entry: QueueJob, job) -> None:
         self._mark_running(entry)

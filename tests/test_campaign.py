@@ -2,7 +2,9 @@
 parallel-equals-serial determinism."""
 
 import json
+import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -232,3 +234,129 @@ class TestCampaignCLI:
         from repro.harness.experiments import run_fig13
         r = run_fig13("SPL", "VIO", res="nano", jobs=1)
         assert r.occupancy or r.samples_taken >= 0
+
+
+class TestTraceReuse:
+    """A campaign traces each workload once per task and simulates every
+    policy of the task on the same streams."""
+
+    def test_trace_key_ignores_only_run_knobs(self):
+        base = nano_job().trace_key()
+        assert nano_job("tap", sample_interval=400,
+                        params={"rep": 2}).trace_key() == base
+        assert nano_job(scene="PT").trace_key() != base
+        assert nano_job(res="2k").trace_key() != base
+        assert nano_job(config="RTX3070-mini").trace_key() != base
+        assert nano_job(compute="HOLO").trace_key() != base
+        assert nano_job(compute_args={"frames": 1}).trace_key() != base
+
+    def test_split_by_key_then_halve_the_largest(self):
+        from repro.campaign.runner import split_tasks
+        assert split_tasks(["a", "b", "c"], 2) == [[0], [1], [2]]
+        assert split_tasks(["a"] * 4, 2) == [[0, 1], [2, 3]]
+        assert split_tasks(["a", "b", "a", "b"], 1) == [[0, 2], [1, 3]]
+        assert split_tasks([], 4) == []
+        for keys in (["a"] * 3, ["a", "a", "b"], ["a", "b", "a", "a", "a"]):
+            for workers in (1, 2, 3, 8):
+                tasks = split_tasks(keys, workers)
+                assert sorted(i for t in tasks for i in t) == \
+                    list(range(len(keys)))
+                assert len(tasks) >= min(workers, len(keys))
+                assert len(tasks) <= len(keys)
+                assert all(len({keys[i] for i in t}) == 1 for t in tasks)
+
+    @pytest.fixture(scope="class")
+    def cold_runs(self):
+        """(job, stats, extras) of a fresh, ungrouped run per policy."""
+        from repro.api import WorkloadSpec, simulate
+        from repro.campaign.execute import _policy_extras
+        from repro.core.platform import POLICY_NAMES
+        runs = []
+        for policy in POLICY_NAMES:
+            job = nano_job(policy)
+            cold = simulate(
+                config=job.resolved_config(), policy=job.policy,
+                workload=WorkloadSpec(scene=job.scene, res=job.res,
+                                      compute=job.compute))
+            runs.append((job, cold.stats.to_dict(),
+                         _policy_extras(cold.policy)))
+        return runs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reuse_matches_a_cold_trace(self, cold_runs, workers):
+        """Every policy simulated on a shared trace gives the stats and
+        extras of its own fresh, ungrouped run."""
+        campaign = run_campaign([job for job, _, _ in cold_runs],
+                                workers=workers)
+        assert campaign.executed == len(cold_runs)
+        for (job, stats, extras), result in zip(cold_runs, campaign.results):
+            assert result.stats == stats, job.policy
+            assert result.extras == extras, job.policy
+
+    def test_serial_campaign_traces_each_pair_once(self, monkeypatch):
+        import repro.campaign.execute as execute
+        traced = []
+        real = execute.collect_streams
+
+        def counting(config, **kw):
+            traced.append((kw["scene"], kw["compute"]))
+            return real(config, **kw)
+
+        monkeypatch.setattr(execute, "collect_streams", counting)
+        # Policy-major submission, so the two trace keys interleave.
+        jobs = [nano_job(policy, compute=compute)
+                for policy in ("mps", "mig", "tap")
+                for compute in ("VIO", "HOLO")]
+        campaign = run_campaign(jobs, workers=1)
+        assert campaign.ok
+        assert traced == [("SPL", "VIO"), ("SPL", "HOLO")]
+        assert [r.label for r in campaign.results] == \
+            [j.display_label for j in jobs]
+        assert [r.fingerprint for r in campaign.results] == \
+            [j.fingerprint() for j in jobs]
+
+    def test_trace_failure_fails_the_whole_task(self):
+        from repro.campaign.execute import run_jobs_guarded
+        jobs = [Job(scene="SPL", compute="NOPE", res="nano", policy=p)
+                for p in ("mps", "tap")]
+        results = run_jobs_guarded(jobs)
+        assert [r.status for r in results] == ["failed", "failed"]
+        assert all("NOPE" in r.error for r in results)
+        assert [r.fingerprint for r in results] == \
+            [j.fingerprint() for j in jobs]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="workers must inherit the patched run_job")
+    def test_worker_death_fails_only_its_task(self, monkeypatch, tmp_path):
+        """A worker that dies outright fails the jobs of its own task
+        (after a retry); the other task's jobs still come back ok."""
+        import repro.campaign.execute as execute
+        real = execute.run_job
+        healthy = [nano_job(p) for p in ("mps", "tap")]
+        doomed = [nano_job(p, compute="HOLO") for p in ("mps", "tap")]
+        cache = ResultCache(str(tmp_path))
+
+        def run_job(job, streams):
+            if job.compute == "HOLO":
+                # Die only once the parent has cached the other task's
+                # results, so they are in before the pool breaks.
+                deadline = time.monotonic() + 60
+                while not all(j.fingerprint() in cache for j in healthy) \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                os._exit(1)
+            return real(job, streams)
+
+        monkeypatch.setattr(execute, "run_job", run_job)
+        campaign = run_campaign(healthy + doomed, workers=2,
+                                cache_dir=str(tmp_path))
+        for result in campaign.results[2:]:
+            assert result.status == "failed"
+            assert "worker process died" in result.error
+            assert result.attempts == 2
+        monkeypatch.setattr(execute, "run_job", real)
+        clean = run_campaign(healthy, workers=1)
+        for result, ref in zip(campaign.results[:2], clean.results):
+            assert result.status == "ok"
+            assert result.stats == ref.stats
