@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import tempfile
+import urllib.error
 import urllib.request
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -59,8 +60,11 @@ def main() -> int:
             summary = json.loads(get(base, "/summary"))
             assert summary["runs"] == len(runs)
 
-            queue = json.loads(get(base, "/queue"))
-            assert queue["jobs"] == []  # read-only server: empty queue
+            try:
+                get(base, "/queue")
+                raise AssertionError("/queue should be gone")
+            except urllib.error.HTTPError as err:
+                assert err.code == 404, "/queue -> %d" % err.code
 
             html = get(base, "/").decode("utf-8")
             assert "Sim-rate trend" in html and "Kernel timeline" in html

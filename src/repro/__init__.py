@@ -20,7 +20,7 @@ Public entry points:
 from .api import RunRequest, RunResult, WorkloadSpec, simulate
 from .core import CRISP
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 __all__ = [
     "CRISP",
     "RunRequest",

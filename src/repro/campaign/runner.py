@@ -130,8 +130,7 @@ class CampaignRunner:
                  retries: int = 1,
                  progress: bool = False,
                  telemetry_dir: Optional[str] = None,
-                 repository=None,
-                 heartbeat_sink=None) -> None:
+                 repository=None) -> None:
         if cache is None and cache_dir is not None:
             cache = ResultCache(cache_dir)
         self.workers = max(1, int(workers))
@@ -146,9 +145,6 @@ class CampaignRunner:
         #: finished-ok job (cache hits included — ingest is content-keyed,
         #: so re-runs dedupe) is stored as it completes.
         self.repository = repository
-        #: Optional callable receiving every heartbeat record as emitted
-        #: (the job queue forwards these to ``/events`` subscribers).
-        self.heartbeat_sink = heartbeat_sink
         self._hb: Optional[RunLog] = None
 
     def _heartbeat(self, kind: str, **fields) -> None:
@@ -165,12 +161,9 @@ class CampaignRunner:
             fingerprints, labels,
             self.cache.manifests_dir if self.cache is not None else None)
         reporter = ProgressReporter(len(jobs), enabled=self.progress)
-        if self.heartbeat_path is not None or self.heartbeat_sink is not None:
-            if self.telemetry_dir is not None:
-                os.makedirs(self.telemetry_dir, exist_ok=True)
-            self._hb = RunLog(self.heartbeat_path,
-                              live=self.heartbeat_path is not None,
-                              sink=self.heartbeat_sink)
+        if self.heartbeat_path is not None:
+            os.makedirs(self.telemetry_dir, exist_ok=True)
+            self._hb = RunLog(self.heartbeat_path, live=True)
             self._heartbeat("campaign_start",
                             campaign_id=manifest.campaign_id,
                             jobs=len(jobs), workers=self.workers,

@@ -17,7 +17,7 @@ Subcommands::
     python -m repro figure fig9
     python -m repro db ingest benchmarks/ tests/golden/   # backfill sqlite
     python -m repro db ls
-    python -m repro serve --port 8035    # live dashboard + job queue
+    python -m repro serve --port 8035    # read-only dashboard
 
 Traces saved by ``render`` / ``trace-compute`` are replayed by
 ``simulate`` — collect once, sweep policies many times, exactly the
@@ -558,17 +558,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="serve the run repository + job queue as a live dashboard")
+        help="serve the run repository as a read-only dashboard")
     p.add_argument("--db", metavar="PATH", default=None,
                    help="database file (default $REPRO_DB or "
                         "~/.cache/repro/runs.sqlite)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8035,
                    help="listen port (0 = ephemeral)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="job-queue worker threads")
-    p.add_argument("--no-queue", action="store_true",
-                   help="read-only dashboard: no job queue, no POST /submit")
     p.add_argument("--verbose", action="store_true",
                    help="log every HTTP request to stderr")
 
@@ -784,24 +780,16 @@ def _cmd_serve(args) -> int:
     from .service.server import DashboardServer
 
     repo = RunRepository(args.db)
-    queue = None
-    if not args.no_queue:
-        from .service.queue import JobQueue
-        queue = JobQueue(repo, workers=args.workers)
-    server = DashboardServer(repo, queue=queue, host=args.host,
-                             port=args.port, verbose=args.verbose)
+    server = DashboardServer(repo, host=args.host, port=args.port,
+                             verbose=args.verbose)
     counts = repo.counts()
     print("repro dashboard: %s  (%d stored run(s), db %s)"
           % (server.url, counts["runs"], repo.path))
-    print("endpoints: /runs /runs/<id> /compare /queue /events /summary"
-          + ("" if args.no_queue else "; POST /submit"))
+    print("endpoints: /runs /runs/<id> /compare /summary")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         print("\nshutting down")
-    finally:
-        if queue is not None:
-            queue.shutdown(wait=False)
     return 0
 
 

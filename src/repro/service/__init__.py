@@ -1,10 +1,12 @@
-"""Simulation-as-a-service: run repository, job queue, dashboard.
+"""Run repository and read-only dashboard: ``repro db`` / ``repro serve``.
 
-The repository and record readers import eagerly (stdlib-only, no
-simulator dependencies); the queue and server are exposed lazily because
-they pull in the campaign/execution stack.
+The package exports the repository, the record readers and ``backfill``.
+The HTTP app lives in :mod:`repro.service.server` and is imported from
+there, so code that only reads records (``repro.profiling``) never loads
+``http.server``.
 """
 
+from .ingest import backfill
 from .records import (
     RUN_RECORD_SCHEMA,
     SIMRATE_SCHEMA,
@@ -26,23 +28,4 @@ __all__ = [
     "RunRepository",
     "default_db_path",
     "backfill",
-    "JobQueue",
-    "DashboardServer",
-    "DASHBOARD_HTML",
 ]
-
-_LAZY = {
-    "backfill": ("repro.service.ingest", "backfill"),
-    "JobQueue": ("repro.service.queue", "JobQueue"),
-    "DashboardServer": ("repro.service.server", "DashboardServer"),
-    "DASHBOARD_HTML": ("repro.service.dashboard", "DASHBOARD_HTML"),
-}
-
-
-def __getattr__(name):
-    target = _LAZY.get(name)
-    if target is None:
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
-    import importlib
-    return getattr(importlib.import_module(target[0]), target[1])

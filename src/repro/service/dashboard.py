@@ -28,8 +28,6 @@ DASHBOARD_HTML = r"""<!DOCTYPE html>
   --series-1: #2a78d6;  --series-2: #eb6834;  --series-3: #1baf7a;
   --series-4: #eda100;  --series-5: #e87ba4;  --series-6: #008300;
   --series-7: #4a3aa7;  --series-8: #e34948;
-  --status-good: #0ca30c;  --status-warning: #fab219;
-  --status-serious: #ec835a;  --status-critical: #d03b3b;
 }
 @media (prefers-color-scheme: dark) {
   :root:where(:not([data-theme="light"])) .viz-root {
@@ -112,16 +110,6 @@ td {
 tr.row:hover td { background: var(--plane); cursor: pointer; }
 tr.sel td { background: var(--plane); }
 .num { text-align: right; }
-.badge {
-  display: inline-block; padding: 0 7px; border-radius: 9px;
-  font-size: 11px; line-height: 17px; border: 1px solid var(--ring);
-  color: var(--text-secondary);
-}
-.badge::before { content: "● "; font-size: 8px; vertical-align: 1px; }
-.badge.done::before, .badge.cached::before { color: var(--status-good); }
-.badge.failed::before { color: var(--status-critical); }
-.badge.running::before { color: var(--status-warning); }
-.badge.queued::before { color: var(--text-muted); }
 #tooltip {
   position: fixed; pointer-events: none; z-index: 10; display: none;
   background: var(--surface-1); color: var(--text-primary);
@@ -129,14 +117,7 @@ tr.sel td { background: var(--plane); }
   font-size: 12px; box-shadow: 0 2px 10px rgba(0,0,0,.18);
   max-width: 340px; white-space: pre-line;
 }
-#events {
-  max-height: 200px; overflow-y: auto; font-size: 12px;
-  color: var(--text-secondary); font-family: ui-monospace, monospace;
-}
-#events div { padding: 1px 0; border-bottom: 1px dotted var(--grid); }
 .empty { color: var(--text-muted); font-size: 13px; padding: 10px 0; }
-.cols { display: grid; grid-template-columns: 1fr 1fr; gap: 14px; }
-@media (max-width: 900px) { .cols { grid-template-columns: 1fr; } }
 .muted { color: var(--text-muted); }
 #detail h3 { font-size: 14px; margin: 2px 0 8px; }
 .mono { font-family: ui-monospace, monospace; font-size: 12px; }
@@ -153,18 +134,10 @@ tr.sel td { background: var(--plane); }
     <h2>Sim-rate trend across stored runs</h2>
     <div id="trend" class="empty">loading…</div>
   </section>
-  <div class="cols">
-    <section>
-      <h2>Runs</h2>
-      <div id="runs" class="empty">loading…</div>
-    </section>
-    <section>
-      <h2>Queue</h2>
-      <div id="queue" class="empty">loading…</div>
-      <h2 style="margin-top:12px">Live events</h2>
-      <div id="events"><div class="muted">waiting for events…</div></div>
-    </section>
-  </div>
+  <section>
+    <h2>Runs</h2>
+    <div id="runs" class="empty">loading…</div>
+  </section>
   <section id="detail" style="display:none">
     <h2>Run detail</h2>
     <div id="detail-body"></div>
@@ -212,13 +185,9 @@ document.addEventListener("mousemove", ev => {
 
 /* ---- stat tiles ---- */
 function renderTiles(summary) {
-  const q = summary.queue || {};
-  const states = q.by_state || {};
   const tiles = [
     ["stored runs", summary.runs],
     ["configs (fingerprints)", summary.fingerprints],
-    ["simulated via queue", q.simulated ?? 0],
-    ["queued / running", (states.queued || 0) + (states.running || 0)],
   ];
   $("tiles").innerHTML = tiles.map(([k, v]) =>
     '<div class="tile"><div class="v">' + fmt(v) +
@@ -310,28 +279,6 @@ function renderRuns(runs) {
     "</tbody></table>";
   $("runs").querySelectorAll("tr.row").forEach(tr =>
     tr.addEventListener("click", () => openRun(+tr.dataset.run)));
-}
-
-/* ---- queue panel ---- */
-function renderQueue(snap) {
-  if (!snap.jobs.length) {
-    $("queue").innerHTML =
-      '<div class="empty">no submissions yet — POST a job spec to ' +
-      '<span class="mono">/submit</span></div>';
-    return;
-  }
-  const rows = snap.jobs.slice(0, 30).map(j =>
-    '<tr><td class="num">' + j.job_id + "</td><td>" + esc(j.label) +
-    '</td><td><span class="badge ' + esc(j.state) + '">' + esc(j.state) +
-    (j.cached ? " (cache)" : "") + "</span></td><td class=num>" +
-    (j.run_id ?? "—") + '</td><td class="muted">' +
-    (j.error ? esc(j.error) : j.attached ? "+" + j.attached + " attached"
-      : "") + "</td></tr>").join("");
-  $("queue").classList.remove("empty");
-  $("queue").innerHTML =
-    "<table><thead><tr><th>job</th><th>label</th><th>state</th>" +
-    "<th class=num>run</th><th></th></tr></thead><tbody>" + rows +
-    "</tbody></table>";
 }
 
 /* ---- run detail: timeline, stalls, IPC, QoS ---- */
@@ -510,62 +457,17 @@ async function openRun(id) {
   $("detail").scrollIntoView({behavior: "smooth", block: "nearest"});
 }
 
-/* ---- live events (SSE with polling fallback) ---- */
-let lastSeq = 0;
-function pushEvent(ev) {
-  lastSeq = Math.max(lastSeq, ev.seq || 0);
-  const box = $("events");
-  if (box.firstChild && box.firstChild.classList &&
-      box.firstChild.classList.contains("muted")) box.innerHTML = "";
-  const line = document.createElement("div");
-  const t = new Date((ev.unix_time || 0) * 1000)
-    .toISOString().slice(11, 19);
-  line.textContent = t + "  " + ev.kind +
-    (ev.label ? "  " + ev.label : "") +
-    (ev.job_id != null ? "  (job " + ev.job_id + ")" : "") +
-    (ev.error ? "  " + ev.error : "");
-  box.prepend(line);
-  while (box.children.length > 30) box.removeChild(box.lastChild);
-  if (/^job_/.test(ev.kind)) scheduleRefresh();
-}
-function connectEvents() {
-  try {
-    const es = new EventSource("/events?since=" + lastSeq);
-    const onAny = m => { try { pushEvent(JSON.parse(m.data)); }
-                         catch (e) { /* comment frame */ } };
-    es.onmessage = onAny;
-    ["job_queued", "job_running", "job_done", "job_failed", "job_cached",
-     "job_attached", "heartbeat"].forEach(k =>
-      es.addEventListener(k, onAny));
-    es.onerror = () => { es.close(); setTimeout(pollEvents, 4000); };
-  } catch (e) { pollEvents(); }
-}
-async function pollEvents() {
-  try {
-    const d = await getJSON("/events.json?since=" + lastSeq);
-    d.events.forEach(pushEvent);
-  } catch (e) { /* server away; retry */ }
-  setTimeout(pollEvents, 4000);
-}
-
 /* ---- top-level refresh ---- */
-let refreshTimer = null;
-function scheduleRefresh() {
-  if (refreshTimer) return;
-  refreshTimer = setTimeout(() => { refreshTimer = null; refresh(); }, 400);
-}
 async function refreshRunsOnly() {
   renderRuns((await getJSON("/runs?limit=100")).runs);
 }
 async function refresh() {
   try {
-    const [summary, compare, runs, queue] = await Promise.all([
-      getJSON("/summary"), getJSON("/compare"),
-      getJSON("/runs?limit=100"), getJSON("/queue")]);
+    const [summary, compare, runs] = await Promise.all([
+      getJSON("/summary"), getJSON("/compare"), getJSON("/runs?limit=100")]);
     renderTiles(summary);
     renderTrend(compare.groups);
     renderRuns(runs.runs);
-    renderQueue(queue);
   } catch (e) {
     $("tiles").innerHTML =
       '<div class="tile"><div class="v">⚠</div><div class="k">' +
@@ -573,7 +475,6 @@ async function refresh() {
   }
 }
 refresh();
-connectEvents();
 setInterval(refresh, 15000);
 </script>
 </body>

@@ -8,7 +8,7 @@ JSON columns so the schema survives record-layout bumps: the tolerant
 readers in :mod:`repro.service.records` are the only migration point.
 
 Concurrency: the database runs in WAL mode and every public method opens
-a short-lived connection, so the job queue's worker threads, the
+a short-lived connection, so a campaign's ``--db`` sink, the
 dashboard's request threads and a CLI ingest can all touch the same file
 safely (single writer at a time, arbitrated by sqlite's busy handler).
 """
@@ -299,18 +299,6 @@ class RunRepository:
         finally:
             con.close()
         return [self._summary(r) for r in rows]
-
-    def find_job(self, job_fingerprint: str) -> Optional[Dict[str, object]]:
-        """Newest stored run for one campaign-job fingerprint (queue dedupe)."""
-        con = self._connect()
-        try:
-            row = con.execute(
-                "SELECT %s FROM runs WHERE job_fingerprint = ? AND "
-                "stats_json IS NOT NULL ORDER BY id DESC LIMIT 1"
-                % ", ".join(_SUMMARY_COLS), (job_fingerprint,)).fetchone()
-        finally:
-            con.close()
-        return self._summary(row) if row else None
 
     def compare(self, fingerprint: Optional[str] = None,
                 label: Optional[str] = None,

@@ -1,26 +1,22 @@
-"""Dependency-free HTTP app over the run repository and job queue.
+"""Dependency-free read-only HTTP app over the run repository.
 
 ``repro serve`` binds a :class:`DashboardServer`; every endpoint is plain
 ``http.server`` + JSON so the dashboard works wherever the simulator does:
 
 ====================  =====================================================
 ``GET /``             single-page dashboard (HTML, no external assets)
-``GET /summary``      repository counts + queue totals (stat tiles)
+``GET /summary``      repository counts (stat tiles)
 ``GET /runs``         run summaries; filters ``kind``/``fp``/``label``/
                       ``source``/``limit``
 ``GET /runs/<id>``    full run detail (stats, sim-rate, QoS, views) plus a
                       pre-rendered text report when telemetry views exist
 ``GET /compare``      cross-run sim-rate trend groups (``fp``/``label``)
-``GET /queue``        queue snapshot (jobs newest-first, state totals)
-``GET /events``       queue event feed over SSE (``since``/``limit``/
-                      ``poll``; ``limit`` bounds the stream for tests)
-``GET /events.json``  same feed as one JSON page (``since``/``limit``)
-``POST /submit``      submit a job spec (or ``{"jobs": [...]}``) to the
-                      queue; deduped against repository + in-flight jobs
 ====================  =====================================================
 
-The server is threaded (one request per thread) and the repository opens a
-connection per call, so dashboard reads never block queue writers.
+A malformed numeric query value (``?limit=abc``) answers 400.  The server
+is threaded (one request per thread) and the repository opens a
+connection per call, so dashboard reads never block a concurrent
+``repro campaign --db`` or ``repro db ingest`` writer.
 """
 
 from __future__ import annotations
@@ -33,13 +29,25 @@ from urllib.parse import parse_qs, urlparse
 
 from .repository import RunRepository
 
-#: SSE keep-alive comment interval / bounded-poll default, seconds.
-DEFAULT_POLL_SECONDS = 15.0
-
 
 def _first(query: dict, key: str, default: Optional[str] = None):
     values = query.get(key)
     return values[0] if values else default
+
+
+class _BadQuery(ValueError):
+    """A query parameter failed to parse; answered as 400."""
+
+
+def _int_param(query: dict, key: str, default: int) -> int:
+    raw = _first(query, key)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise _BadQuery("query parameter %r must be an integer, got %r"
+                        % (key, raw)) from None
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -78,32 +86,25 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(200, DASHBOARD_HTML.encode("utf-8"),
                            "text/html; charset=utf-8")
             elif route == "/summary":
-                self._json(self._summary())
+                self._json(self.app.repository.counts())
             elif route == "/runs":
                 self._json({"runs": self.app.repository.list_runs(
                     kind=_first(query, "kind"),
                     fingerprint=_first(query, "fp"),
                     label=_first(query, "label"),
                     source=_first(query, "source"),
-                    limit=int(_first(query, "limit", "200")))})
+                    limit=_int_param(query, "limit", 200))})
             elif route.startswith("/runs/"):
                 self._run_detail(route[len("/runs/"):])
             elif route == "/compare":
                 self._json({"groups": self.app.repository.compare(
                     fingerprint=_first(query, "fp"),
                     label=_first(query, "label"),
-                    limit=int(_first(query, "limit", "1000")))})
-            elif route == "/queue":
-                queue = self.app.queue
-                self._json(queue.snapshot() if queue is not None else
-                           {"jobs": [], "by_state": {}, "simulated": 0,
-                            "workers": 0, "events": 0})
-            elif route == "/events.json":
-                self._events_json(query)
-            elif route == "/events":
-                self._events_sse(query)
+                    limit=_int_param(query, "limit", 1000))})
             else:
                 self._error(404, "no such endpoint: %s" % route)
+        except _BadQuery as exc:
+            self._error(400, str(exc))
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
             pass
         except Exception as exc:  # defensive: surface, don't kill the thread
@@ -112,19 +113,6 @@ class _Handler(BaseHTTPRequestHandler):
             except (BrokenPipeError, ConnectionResetError,
                     OSError):  # pragma: no cover
                 pass
-
-    def _summary(self) -> dict:
-        summary = self.app.repository.counts()
-        queue = self.app.queue
-        if queue is not None:
-            snap = queue.snapshot()
-            summary["queue"] = {"by_state": snap["by_state"],
-                                "simulated": snap["simulated"],
-                                "workers": snap["workers"],
-                                "events": snap["events"]}
-        else:
-            summary["queue"] = None
-        return summary
 
     def _run_detail(self, raw_id: str) -> None:
         try:
@@ -141,93 +129,14 @@ class _Handler(BaseHTTPRequestHandler):
             detail["report"] = render_telemetry_views(detail["views"])
         self._json(detail)
 
-    # -- event feeds ----------------------------------------------------------
-    def _events_json(self, query: dict) -> None:
-        since = int(_first(query, "since", "0"))
-        limit = int(_first(query, "limit", "500"))
-        queue = self.app.queue
-        events = queue.events(since, limit) if queue is not None else []
-        self._json({"events": events,
-                    "next": events[-1]["seq"] if events else since})
-
-    def _events_sse(self, query: dict) -> None:
-        """Server-sent events: stream queue transitions + heartbeats.
-
-        ``limit`` bounds the number of events then closes the stream (the
-        smoke test's mode); without it the stream stays open, emitting a
-        keep-alive comment every ``poll`` seconds of silence.
-        """
-        since = int(_first(query, "since", "0"))
-        raw_limit = _first(query, "limit")
-        limit = int(raw_limit) if raw_limit else None
-        poll = float(_first(query, "poll", str(DEFAULT_POLL_SECONDS)))
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        queue = self.app.queue
-        if queue is None:
-            self.wfile.write(b": no queue attached\n\n")
-            self.wfile.flush()
-            return
-        sent = 0
-        while True:
-            events = queue.wait_events(since, timeout=poll)
-            if not events:
-                self.wfile.write(b": keep-alive\n\n")
-                self.wfile.flush()
-                if limit is not None:
-                    return  # bounded mode never blocks the client forever
-                continue
-            for event in events:
-                frame = ("id: %d\nevent: %s\ndata: %s\n\n"
-                         % (event["seq"], event["kind"], json.dumps(event)))
-                self.wfile.write(frame.encode("utf-8"))
-                since = max(since, event["seq"])
-                sent += 1
-                if limit is not None and sent >= limit:
-                    self.wfile.flush()
-                    return
-            self.wfile.flush()
-
-    # -- POST -----------------------------------------------------------------
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        route = urlparse(self.path).path.rstrip("/")
-        if route != "/submit":
-            self._error(404, "no such endpoint: %s" % route)
-            return
-        if self.app.queue is None:
-            self._error(503, "no job queue attached (start repro serve "
-                             "without --no-queue)")
-            return
-        length = int(self.headers.get("Content-Length") or 0)
-        try:
-            doc = json.loads(self.rfile.read(length) or b"{}")
-        except ValueError:
-            self._error(400, "body must be JSON")
-            return
-        try:
-            if isinstance(doc, dict) and isinstance(doc.get("jobs"), list):
-                entries = self.app.queue.submit_campaign(
-                    doc["jobs"], workers=int(doc.get("workers", 1)))
-                self._json({"jobs": [e.to_dict() for e in entries]},
-                           status=202)
-            else:
-                entry = self.app.queue.submit(doc)
-                self._json(entry.to_dict(), status=202)
-        except (ValueError, TypeError, KeyError) as exc:
-            self._error(400, "bad job spec: %s" % exc)
-
 
 class DashboardServer:
     """Threaded ``http.server`` app; ``port=0`` binds an ephemeral port."""
 
-    def __init__(self, repository: RunRepository, queue=None,
+    def __init__(self, repository: RunRepository,
                  host: str = "127.0.0.1", port: int = 0,
                  verbose: bool = False) -> None:
         self.repository = repository
-        self.queue = queue
         self.verbose = verbose
         app = self
 

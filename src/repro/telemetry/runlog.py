@@ -11,16 +11,12 @@ written once by :meth:`write`, so the simulator never does I/O mid-run) and
 *live* (``live=True`` — every record is written and flushed immediately,
 which is what campaign heartbeats need so an operator can tail the file
 while jobs run).
-
-Either mode can additionally stream: a ``sink`` callable receives every
-record as it is emitted, which is how campaign heartbeats reach job-queue
-subscribers (``/events``) without going through the filesystem.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 KIND_HEADER = "header"
 KIND_SAMPLE = "sample"
@@ -30,12 +26,10 @@ KIND_FINAL = "final"
 class RunLog:
     """JSONL record accumulator / writer."""
 
-    def __init__(self, path: Optional[str] = None, live: bool = False,
-                 sink: Optional[Callable[[Dict[str, Any]], None]] = None,
-                 ) -> None:
+    def __init__(self, path: Optional[str] = None,
+                 live: bool = False) -> None:
         self.path = path
         self.live = live and path is not None
-        self.sink = sink
         self.records: List[Dict[str, Any]] = []
         self._fh = None
         if self.live:
@@ -48,8 +42,6 @@ class RunLog:
         if self._fh is not None:
             self._fh.write(json.dumps(record, sort_keys=True) + "\n")
             self._fh.flush()
-        if self.sink is not None:
-            self.sink(record)
         return record
 
     def write(self, path: Optional[str] = None) -> None:

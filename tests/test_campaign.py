@@ -77,9 +77,9 @@ class TestJobFingerprint:
         assert restored.display_label == job.display_label
 
     def test_legacy_execution_keys_are_ignored(self):
-        """Job files (and POST /submit bodies) written by older builds
-        carry "execution"/"workers"; they load, drop out of the round
-        trip, and leave the fingerprint (so cached results) unchanged."""
+        """Job files written by older builds carry "execution"/"workers";
+        they load, drop out of the round trip, and leave the fingerprint
+        (so cached results) unchanged."""
         job = nano_job("tap")
         legacy = dict(job.to_dict(), workers=4,
                       execution={"engine": "process", "workers": 2})

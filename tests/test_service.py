@@ -1,5 +1,5 @@
 """repro.service: run repository round-trips, backfill idempotency,
-concurrent writers, job-queue dedupe, and the dashboard HTTP surface."""
+concurrent writers, and the read-only dashboard HTTP surface."""
 
 import json
 import os
@@ -9,17 +9,11 @@ import urllib.request
 
 import pytest
 
-from repro.campaign.execute import STATUS_FAILED, STATUS_OK, JobResult
+from repro.campaign.execute import STATUS_OK, JobResult
 from repro.campaign.job import Job
 from repro.cli import main
 from repro.service import RunRepository
 from repro.service.ingest import backfill
-from repro.service.queue import (
-    STATE_CACHED,
-    STATE_DONE,
-    STATE_FAILED,
-    JobQueue,
-)
 from repro.service.records import classify_document, content_key
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -52,20 +46,8 @@ def _run_record(label="unit", cycles=1200, wall=2.0):
     }
 
 
-def _job(policy="mps"):
-    return Job(scene="SPL", res="nano", compute="HOLO", policy=policy)
-
-
-def _fake_runner(calls):
-    """Queue runner double: records invocations, returns plausible stats."""
-
-    def run(job):
-        calls.append(job.fingerprint())
-        return JobResult(fingerprint=job.fingerprint(),
-                         label=job.display_label, status=STATUS_OK,
-                         wall_seconds=0.01, stats=_stats_doc())
-
-    return run
+def _job():
+    return Job(scene="SPL", res="nano", compute="HOLO", policy="mps")
 
 
 class TestRepositoryRoundTrip:
@@ -216,86 +198,17 @@ class TestConcurrentWriters:
         assert repo.counts()["runs"] == 40
 
 
-class TestJobQueueDedupe:
-    def test_duplicate_fingerprint_served_from_repository(self, tmp_path):
-        repo = RunRepository(str(tmp_path / "runs.sqlite"))
-        calls = []
-        queue = JobQueue(repo, workers=2, runner=_fake_runner(calls))
-        try:
-            first = queue.submit(_job())
-            assert queue.join(30)
-            assert first.state == STATE_DONE
-            assert first.run_id is not None
-            second = queue.submit(_job())
-            assert second.state == STATE_CACHED
-            assert second.cached
-            assert second.run_id == first.run_id
-            assert queue.simulated == 1
-            assert len(calls) == 1  # the second submission never simulated
-        finally:
-            queue.shutdown()
-
-    def test_distinct_fingerprints_both_simulate(self, tmp_path):
-        repo = RunRepository(str(tmp_path / "runs.sqlite"))
-        calls = []
-        queue = JobQueue(repo, workers=2, runner=_fake_runner(calls))
-        try:
-            queue.submit(_job("mps"))
-            queue.submit(_job("mig"))
-            assert queue.join(30)
-            assert queue.simulated == 2
-            assert len(set(calls)) == 2
-        finally:
-            queue.shutdown()
-
-    def test_failed_job_reports_error(self, tmp_path):
-        repo = RunRepository(str(tmp_path / "runs.sqlite"))
-
-        def failing(job):
-            return JobResult(fingerprint=job.fingerprint(),
-                             label=job.display_label, status=STATUS_FAILED,
-                             error="boom")
-
-        queue = JobQueue(repo, workers=1, runner=failing)
-        try:
-            entry = queue.submit(_job())
-            assert queue.join(30)
-            assert entry.state == STATE_FAILED
-            assert entry.error == "boom"
-            assert queue.simulated == 0
-        finally:
-            queue.shutdown()
-
-    def test_events_are_monotonic_and_complete(self, tmp_path):
-        repo = RunRepository(str(tmp_path / "runs.sqlite"))
-        queue = JobQueue(repo, workers=1, runner=_fake_runner([]))
-        try:
-            queue.submit(_job())
-            assert queue.join(30)
-            events = queue.events()
-            assert [e["seq"] for e in events] == list(
-                range(1, len(events) + 1))
-            kinds = [e["kind"] for e in events]
-            assert kinds[0] == "job_queued"
-            assert "job_running" in kinds and "job_done" in kinds
-        finally:
-            queue.shutdown()
-
-
 @pytest.fixture(scope="module")
 def serve_stack(tmp_path_factory):
-    """One repository + queue + live server shared by the HTTP tests."""
+    """One backfilled repository + live server shared by the HTTP tests."""
     from repro.service.server import DashboardServer
 
     tmp = tmp_path_factory.mktemp("serve")
     repo = RunRepository(str(tmp / "runs.sqlite"))
     backfill(repo, [BENCH_DIR])
-    calls = []
-    queue = JobQueue(repo, workers=1, runner=_fake_runner(calls))
-    server = DashboardServer(repo, queue=queue, port=0).start()
-    yield server, repo, queue, calls
+    server = DashboardServer(repo, port=0).start()
+    yield server, repo
     server.stop()
-    queue.shutdown()
 
 
 def _get(server, path):
@@ -305,23 +218,23 @@ def _get(server, path):
 
 class TestServeSmoke:
     def test_dashboard_html(self, serve_stack):
-        server, _, _, _ = serve_stack
+        server, _ = serve_stack
         status, ctype, body = _get(server, "/")
         assert status == 200 and ctype == "text/html"
         text = body.decode("utf-8")
-        for needle in ("Sim-rate trend", "Kernel timeline", "Queue",
-                       "EventSource"):
+        for needle in ("Sim-rate trend", "Kernel timeline"):
             assert needle in text
+        assert "EventSource" not in text and "/queue" not in text
 
     def test_summary(self, serve_stack):
-        server, repo, _, _ = serve_stack
+        server, repo = serve_stack
         _, _, body = _get(server, "/summary")
         doc = json.loads(body)
         assert doc["runs"] == repo.counts()["runs"] > 0
-        assert doc["queue"]["workers"] == 1
+        assert "queue" not in doc
 
     def test_runs_and_detail(self, serve_stack):
-        server, _, _, _ = serve_stack
+        server, _ = serve_stack
         _, _, body = _get(server, "/runs?limit=5")
         runs = json.loads(body)["runs"]
         assert 0 < len(runs) <= 5
@@ -331,50 +244,51 @@ class TestServeSmoke:
         assert "stats" in detail and "qos" in detail  # payload keys present
 
     def test_compare_groups(self, serve_stack):
-        server, _, _, _ = serve_stack
+        server, _ = serve_stack
         _, _, body = _get(server, "/compare")
         groups = json.loads(body)["groups"]
         assert groups, "BENCH backfill should produce trend groups"
         assert all("best_instructions_per_second" in g for g in groups)
 
     def test_queue_and_submit_dedupe_over_http(self, serve_stack):
-        server, _, queue, calls = serve_stack
-        spec = {"scene": "SPL", "res": "nano", "compute": "HOLO",
-                "policy": "tap"}
-        req = urllib.request.Request(
-            server.url + "/submit", data=json.dumps(spec).encode("utf-8"),
-            headers={"Content-Type": "application/json"}, method="POST")
-        with urllib.request.urlopen(req, timeout=15) as resp:
-            assert resp.status == 202
-        assert queue.join(30)
-        before = len(calls)
-        with urllib.request.urlopen(req, timeout=15) as resp:
-            second = json.load(resp)
-        assert second["cached"] is True
-        assert len(calls) == before  # duplicate returned without simulating
-        _, _, body = _get(server, "/queue")
-        snapshot = json.loads(body)
-        states = {j["state"] for j in snapshot["jobs"]}
-        assert STATE_DONE in states and STATE_CACHED in states
+        """The server no longer queues or dedupes submitted jobs: there is
+        no queue snapshot, and no route (the old job-submission one
+        included) takes a POST."""
+        server, _ = serve_stack
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _get(server, "/queue")
+        assert err.value.code == 404
+        body = json.dumps({"scene": "SPL", "policy": "tap"}).encode()
+        for route in ("submit", "runs"):
+            req = urllib.request.Request(
+                server.url + "/" + route, data=body, method="POST",
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req, timeout=15)
+            assert not 200 <= err.value.code < 300, route
 
     def test_events_json_and_sse(self, serve_stack):
-        server, _, _, _ = serve_stack
-        _, _, body = _get(server, "/events.json")
-        events = json.loads(body)["events"]
-        assert events and events[0]["seq"] == 1
-        status, ctype, body = _get(server, "/events?limit=2&poll=0.2")
-        assert status == 200 and ctype == "text/event-stream"
-        frames = body.decode("utf-8")
-        assert "data: " in frames and "event: " in frames
+        """The job event feed is gone in both forms: the JSON poll route
+        and the server-sent-events stream answer 404."""
+        server, _ = serve_stack
+        for route in ("events", "events.json"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _get(server, "/" + route)
+            assert err.value.code == 404, route
 
     def test_bad_run_id_is_404(self, serve_stack):
-        server, _, _, _ = serve_stack
+        server, _ = serve_stack
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(server, "/runs/999999")
         assert err.value.code == 404
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(server, "/nope")
         assert err.value.code == 404
+        for path in ("/runs?limit=abc", "/compare?limit=x"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _get(server, path)
+            assert err.value.code == 400, path
+            assert "limit" in json.loads(err.value.read())["error"]
 
 
 class TestTelemetryViewsInRepository:
@@ -480,15 +394,16 @@ class TestCompareSimrateAgainstDb:
 
 class TestCampaignRepositorySink:
     def test_runner_ingests_finished_jobs(self, tmp_path):
-        """submit_campaign: results land in the repository and heartbeats
-        reach subscribers, using the real CampaignRunner (workers=1) with
-        a stubbed executor."""
-        from repro.campaign.runner import CampaignRunner
+        """``repro campaign --db``: results land in the repository and
+        heartbeats in the telemetry directory, using the real
+        CampaignRunner (workers=1) with a stubbed executor."""
+        from repro.campaign.runner import HEARTBEAT_FILE, CampaignRunner
+        from repro.telemetry.runlog import read_jsonl
 
         repo = RunRepository(str(tmp_path / "runs.sqlite"))
-        beats = []
+        tel = str(tmp_path / "tel")
         runner = CampaignRunner(workers=1, cache=None, repository=repo,
-                                heartbeat_sink=beats.append)
+                                telemetry_dir=tel)
         job = _job()
         import repro.campaign.runner as runner_mod
         original = runner_mod.run_jobs_guarded
@@ -501,10 +416,12 @@ class TestCampaignRepositorySink:
         finally:
             runner_mod.run_jobs_guarded = original
         assert campaign.ok
-        stored = repo.find_job(job.fingerprint())
-        assert stored is not None
+        (stored,) = repo.list_runs(source="campaign")
+        assert stored["job_fingerprint"] == job.fingerprint()
         assert stored["policy"] == "mps"
-        kinds = [b["kind"] for b in beats]
+        assert repo.get(stored["id"])["stats"] == _stats_doc()
+        kinds = [b["kind"] for b in read_jsonl(
+            os.path.join(tel, HEARTBEAT_FILE))]
         assert kinds[0] == "campaign_start"
         assert kinds[-1] == "campaign_end"
         assert "job_done" in kinds
