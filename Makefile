@@ -4,7 +4,8 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: test lint bench bench-smoke bench-compare fuzz fuzz-smoke \
-	check-goldens qos-smoke qos-campaign serve-smoke perfbench-selftest
+	check-goldens qos-smoke qos-campaign serve-smoke perfbench-selftest \
+	reproduce
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -63,6 +64,15 @@ serve-smoke:
 # span recorder and host-speed probes.  A few seconds, no timing gates.
 perfbench-selftest:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest perfbench/tests -q
+
+# The paper checks: regenerate all 12 tables and figures into
+# $(REPRODUCE_OUT)/RESULTS.md.  Fails unless every one of the 12 checks
+# reports PASS (`repro reproduce` exits nonzero on any CHECK; the count
+# guards against an experiment silently dropping out of the list).
+REPRODUCE_OUT ?= results
+reproduce:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro reproduce --out $(REPRODUCE_OUT)
+	test "$$(grep -c '^| [a-z0-9]* | PASS |' $(REPRODUCE_OUT)/RESULTS.md)" -eq 12
 
 # The full figure/table reproduction suite.
 bench:

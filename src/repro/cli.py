@@ -151,7 +151,7 @@ def _cmd_validate(args) -> int:
 
     if args.action == "check-goldens":
         problems = goldens.check(golden_dir=args.golden_dir)
-        names = list(goldens.GOLDEN_POLICIES) + [
+        names = list(goldens.GOLDEN_NAMES) + [
             "qos:%s" % s for s in goldens.QOS_GOLDEN_SCENARIOS]
         for name in names:
             status = problems.get(name, "ok")

@@ -453,14 +453,12 @@ async function openRun(id) {
   }
   $("detail").style.display = "";
   $("detail-body").innerHTML = html;
-  refreshRunsOnly();
+  $("runs").querySelectorAll("tr.row").forEach(tr =>
+    tr.classList.toggle("sel", +tr.dataset.run === id));
   $("detail").scrollIntoView({behavior: "smooth", block: "nearest"});
 }
 
 /* ---- top-level refresh ---- */
-async function refreshRunsOnly() {
-  renderRuns((await getJSON("/runs?limit=100")).runs);
-}
 async function refresh() {
   try {
     const [summary, compare, runs] = await Promise.all([

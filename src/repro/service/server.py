@@ -13,10 +13,11 @@
 ``GET /compare``      cross-run sim-rate trend groups (``fp``/``label``)
 ====================  =====================================================
 
-A malformed numeric query value (``?limit=abc``) answers 400.  The server
-is threaded (one request per thread) and the repository opens a
-connection per call, so dashboard reads never block a concurrent
-``repro campaign --db`` or ``repro db ingest`` writer.
+A malformed numeric query value (``?limit=abc``) answers 400; any method
+other than GET answers 405 with ``Allow: GET``.  Every error body is JSON
+``{"error": ...}``.  The server is threaded (one request per thread) and
+the repository opens a connection per call, so dashboard reads never
+block a concurrent ``repro campaign --db`` or ``repro db ingest`` writer.
 """
 
 from __future__ import annotations
@@ -65,8 +66,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if status == 405:
+            self.send_header("Allow", "GET")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
 
     def _json(self, payload: object, status: int = 200) -> None:
         body = json.dumps(payload, indent=1).encode("utf-8")
@@ -74,6 +78,21 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _error(self, status: int, message: str) -> None:
         self._json({"error": message}, status=status)
+
+    def __getattr__(self, name: str):
+        # http.server dispatches ``do_<METHOD>`` and answers 501 with an
+        # HTML page when the handler lacks one; every method but GET gets
+        # the JSON 405 instead.
+        if name.startswith("do_"):
+            return self._not_allowed
+        raise AttributeError(name)
+
+    def _not_allowed(self) -> None:
+        # The request body (if any) is left unread, so do not reuse the
+        # connection for another request.
+        self.close_connection = True
+        self._error(405, "method %s not allowed; the server is read-only "
+                    "(GET only)" % self.command)
 
     # -- GET ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API

@@ -4,10 +4,10 @@ The timing core calls telemetry through whatever object sits on
 ``gpu.telemetry``.  By default that is :data:`NULL_TELEMETRY`, a module
 singleton whose hooks are all no-ops and whose flags are precomputed
 ``False`` attributes — the zero-overhead-when-off contract.  The hot issue
-path (``SM._issue`` / ``GTOScheduler.pick``) carries *no* telemetry calls
-at all; the only call sites are event-rate sites (kernel start/complete,
-CTA retire, repartition, the sample tick), so a disabled run adds nothing
-per simulated instruction and a handful of attribute loads per event.
+path (``SM.tick``) carries *no* telemetry calls at all; the only call
+sites are event-rate sites (kernel start/complete, CTA retire,
+repartition, the sample tick), so a disabled run adds nothing per
+simulated instruction and a handful of attribute loads per event.
 
 :class:`Telemetry` buffers everything in memory during the run and writes
 ``metrics.jsonl`` + ``trace.json`` on :meth:`close` (or keeps them

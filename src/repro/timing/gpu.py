@@ -89,6 +89,28 @@ class GPU:
             sm._queued_event = t
             heapq.heappush(self._event_heap, (t, sm.sm_id, sm))
 
+    def _collect_due(self, cycle: int, due: List[SM]) -> None:
+        """Move every SM due at ``cycle`` from the event heap into ``due``.
+
+        Entries whose key no longer matches the SM's queued key are stale
+        duplicates.  An SM already in ``due`` is not added again, so no SM
+        ticks twice in one cycle.  Heap pops arrive ordered by
+        (cycle, sm_id); ``due`` is kept in pure SM-id order so L2/DRAM
+        interleaving matches a full scan of the SMs.
+        """
+        heap = self._event_heap
+        added = False
+        while heap and heap[0][0] <= cycle:
+            t, _, sm = heapq.heappop(heap)
+            if t != sm._queued_event:
+                continue
+            sm._queued_event = BLOCKED
+            if sm not in due:
+                due.append(sm)
+                added = True
+        if added:
+            due.sort(key=_sm_id)
+
     # -- main loop -----------------------------------------------------------------
     def run(self, max_cycles: int = 200_000_000) -> GPUStats:
         """Simulate until all streams complete; returns the stats object."""
@@ -121,18 +143,8 @@ class GPU:
         while True:
             self.cycle = cycle
             self._completed_this_step = False
-            # Pop every SM due at this cycle.  Entries whose key no longer
-            # matches the SM's queued key are stale duplicates.
             due: List[SM] = []
-            while heap and heap[0][0] <= cycle:
-                t, _, sm = heapq.heappop(heap)
-                if t != sm._queued_event:
-                    continue
-                sm._queued_event = BLOCKED
-                due.append(sm)
-            # Heap pops arrive ordered by (cycle, sm_id); restore pure SM-id
-            # order so L2/DRAM interleaving matches the old full-scan loop.
-            due.sort(key=_sm_id)
+            self._collect_due(cycle, due)
             for sm in due:
                 if sm._completions:
                     sm.process_completions(cycle)
@@ -146,32 +158,13 @@ class GPU:
                 # fill() may have launched onto SMs not yet due this cycle;
                 # their launch events land at cycle 0 — collect them so they
                 # tick this cycle, exactly as the full rescan used to.
-                added = False
-                while heap and heap[0][0] <= cycle:
-                    t, _, sm = heapq.heappop(heap)
-                    if t != sm._queued_event:
-                        continue
-                    sm._queued_event = BLOCKED
-                    due.append(sm)
-                    added = True
-                if added:
-                    due.sort(key=_sm_id)
+                self._collect_due(cycle, due)
             if next_arrival is not None and cycle >= next_arrival:
                 # Newly-arrived kernels become issuable this cycle; launch
                 # them and collect any SMs whose launch events landed now so
                 # they tick this cycle like any other due SM.
                 if self.cta_scheduler.fill(cycle):
-                    added = False
-                    while heap and heap[0][0] <= cycle:
-                        t, _, sm = heapq.heappop(heap)
-                        if t != sm._queued_event:
-                            continue
-                        sm._queued_event = BLOCKED
-                        if sm not in due:
-                            due.append(sm)
-                            added = True
-                    if added:
-                        due.sort(key=_sm_id)
+                    self._collect_due(cycle, due)
                 next_arrival = self.cta_scheduler.next_arrival_after(cycle)
             for sm in due:
                 if sm.has_work:

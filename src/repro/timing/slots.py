@@ -3,14 +3,15 @@
 One :class:`SlotState` per SM holds every warp's dynamic timing state in
 flat parallel arrays indexed by a dense *warp slot* — an integer allocated
 at CTA launch, monotonically increasing over the SM's lifetime and never
-reused.  The scheduler heaps, issue commit, and re-validation sweeps all
-operate on these arrays with plain integer indexing; the per-warp
+reused.  The scheduler ready queues, the issue commit in ``SM.tick`` and
+the re-validation sweeps all operate on these arrays with plain integer
+indexing; the per-warp
 :class:`~repro.timing.warp.WarpContext` is reduced to an identity handle
 whose dynamic-state attributes are properties over its slot.
 
-Why monotonic slots: scheduler heaps delete lazily, so entries for retired
-warps linger until popped.  Because a slot is never recycled, ``done[slot]``
-stays set forever and a stale ``(est, seq, slot)`` heap entry is always
+Why monotonic slots: scheduler ready queues delete lazily, so entries for
+retired warps linger until swept.  Because a slot is never recycled,
+``done[slot]`` stays set forever and a stale queue entry is always
 recognised — no generation counters on the hot path.
 
 The register scoreboard is one flat int64-valued array: warp ``slot`` owns
@@ -66,7 +67,7 @@ class SlotState:
         #: Latest completion cycle any of the slot's instructions reached.
         self.last_commit: List[int] = []
         #: 1 once the slot's trace is fully issued (sticky — never reset,
-        #: which is what keeps stale lazy-heap entries harmless).
+        #: which is what keeps stale ready-queue entries harmless).
         self.done = bytearray()
         #: 1 while the slot is parked at a CTA barrier.
         self.barrier = bytearray()
@@ -118,7 +119,7 @@ class SlotState:
     def release_handle(self, slot: int) -> None:
         """Drop the slot's object references once its CTA has retired.
 
-        The int arrays stay (stale heap entries still read ``done[slot]``);
+        The int arrays stay (stale queue entries still read ``done[slot]``);
         only the Python-object columns are cleared so long open-loop runs do
         not pin every retired WarpContext alive.
         """

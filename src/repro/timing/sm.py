@@ -8,11 +8,13 @@ one scheduler may act, and reports the next cycle it needs.
 
 All per-warp dynamic state lives in one structure-of-arrays
 :class:`~repro.timing.slots.SlotState` shared by the SM and its schedulers;
-warps are handled by dense slot index throughout the issue path.  ``_issue``
-is fully inlined against those arrays — pipe reservation, scoreboard commit,
-next-issue estimate and stat bumps are plain array/int operations with no
-nested calls, which is where the structure-of-arrays sim-rate win comes
-from (the per-call overhead used to dominate the profile).
+warps are handled by dense slot index throughout the issue path.
+:meth:`SM.tick` is the only place a warp is selected and an instruction
+committed, for both scheduler policies.  The commit is written inline
+against those arrays — pipe reservation, scoreboard commit, next-issue
+estimate and stat bumps are plain array/int operations with no nested
+calls, which is where the structure-of-arrays sim-rate win comes from
+(the per-call overhead used to dominate the profile).
 """
 
 from __future__ import annotations
@@ -171,8 +173,8 @@ class SM:
         self.registers_used[stream] -= res.registers
         self.shared_used[stream] -= res.shared_mem
         self.warps_used[stream] -= res.warps
-        # Scheduler heaps drop the (now done) warps lazily: slots are never
-        # reused, so ``done[slot]`` stays set and stale heap entries are
+        # Scheduler queues drop the (now done) warps lazily: slots are never
+        # reused, so ``done[slot]`` stays set and stale queue entries are
         # recognised forever.  Only the slots' object columns are released.
         self.resident.remove(cta)
         self.stats.stream(stream).ctas_completed += 1
@@ -208,14 +210,15 @@ class SM:
         :meth:`next_event` would compute — folded into the scheduler sweep
         so the run loop needs no second scan.
 
-        For bucket-mode GTO schedulers (the serial default) the whole
-        select-and-issue step is fused inline: greedy probe, bucket-queue
-        sweep, and the commit are one straight-line pass over the flat
-        arrays with zero per-instruction Python calls (barring LDST/CTA
-        boundaries).  The fused body must stay operation-for-operation in
-        sync with :meth:`GTOScheduler.pick` and :meth:`_issue`, which remain
-        the reference path — and the only path for LRR (``_bucketed`` is
-        False there).
+        Selection and commit are one straight-line pass over the flat
+        arrays with no per-instruction Python calls (barring LDST, barrier
+        and CTA boundaries).  GTO selection is inline: the greedy probe,
+        then the bucket-queue sweep in ascending-estimate / FIFO order,
+        re-validating each due entry and re-queueing it at the corrected
+        cycle if the estimate under-shot (corrected cycles are always
+        > cycle >= est, so a bucket never grows while swept).  LRR calls
+        :meth:`GTOScheduler.pick_lrr` on the same queue.  Both then share
+        the commit below, the only place an instruction issues.
         """
         best = BLOCKED
         st = self.slot_state
@@ -231,28 +234,16 @@ class SM:
                 if t < best:
                     best = t
                 continue
-            if not sched._bucketed:
-                # LRR: virtual pick + virtual issue.
-                slot = sched.pick(cycle)
-                if slot < 0:
-                    t = sched.next_event(cycle)
-                    sched.next_event_cache = t
-                    if t < best:
-                        best = t
-                    continue
-                self._issue(sched, slot, cycle)
-                sched.next_event_cache = wake_at
-                if wake_at < best:
-                    best = wake_at
-                continue
-            # ---- fused GTOScheduler.pick (bucket mode) ----
-            # _picked_from_heap is always False between virtual pick/issue
-            # pairs, so the fused path tracks it in a local instead.
             pnf = sched._pnf
+            # A greedy pick keeps its queue entry; a picked one left the
+            # queue and is re-queued after the commit.
             picked = False
             slot = -1
             g = sched._greedy
-            if g >= 0 and not done[g] and not barrier[g] \
+            if sched.lrr:
+                slot = sched.pick_lrr(cycle)
+                picked = True
+            elif g >= 0 and not done[g] and not barrier[g] \
                     and nr[g] <= cycle \
                     and pnf[cur[g][IE_UNIT_IDX]] <= cycle:
                 slot = g
@@ -267,7 +258,7 @@ class SM:
                         s = b[i]
                         i += 1
                         if done[s] or barrier[s]:
-                            continue
+                            continue  # done: dropped; parked: wake() re-queues
                         ready = nr[s]
                         nf = pnf[cur[s][IE_UNIT_IDX]]
                         if nf > ready:
@@ -292,7 +283,7 @@ class SM:
                 if t < best:
                     best = t
                 continue
-            # ---- fused SM._issue (keep in sync with the method) ----
+            # ---- commit: pipe, scoreboard, next estimate, stats ----
             (_, ui, latency, initiation, _, rdst,
              uses_ldst, is_bar, inst) = cur[slot]
             nf = pnf[ui]
@@ -324,6 +315,11 @@ class SM:
                 nxt_entry = st.entries[slot][pc]
                 cur[slot] = nxt_entry
                 fin = False
+                # One dependency walk per commit refreshes the slot's
+                # cached readiness (exact until the next commit: the
+                # scoreboard slice is single-writer and only the barrier
+                # release path raises stall_until, folding itself into
+                # next_ready there).
                 ready = st.stall_until[slot]
                 sb = st.sb
                 for reg in nxt_entry[IE_REGS]:
@@ -337,7 +333,6 @@ class SM:
                     estimate = ready
                 else:
                     estimate = nxt
-            sched.issued += 1
             sched._greedy = slot if not fin else -1
             sched._last_warp_id = st.warp_ids[slot]
             if picked and not fin:
@@ -376,103 +371,6 @@ class SM:
         if self._completions and self._completions[0][0] < best:
             best = self._completions[0][0]
         return best
-
-    def _issue(self, sched: GTOScheduler, slot: int, cycle: int) -> None:
-        """Issue ``slot``'s current instruction (fully inlined hot path)."""
-        st = self.slot_state
-        # One tuple unpack replaces eight indexed entry reads.
-        (_, ui, latency, initiation, _, rdst,
-         uses_ldst, is_bar, inst) = st.cur[slot]
-        # Inlined UnitPipe.issue against the flat pipe arrays.
-        pnf = sched._pnf
-        nf = pnf[ui]
-        issue_cycle = cycle if cycle > nf else nf
-        pnf[ui] = issue_cycle + initiation
-        sched._icnt[ui] += 1
-        stream = st.streams[slot]
-        if uses_ldst:
-            complete = self.ldst.issue(inst, issue_cycle, stream)
-        else:
-            complete = issue_cycle + latency
-        if is_bar:
-            self._barrier(st.warps[slot], issue_cycle)
-        # Inlined WarpContext.commit_issue.
-        base = st.sb_base[slot]
-        if rdst >= 0:
-            st.sb[base + rdst] = complete
-        st.last_issue[slot] = issue_cycle
-        if complete > st.last_commit[slot]:
-            st.last_commit[slot] = complete
-        pc = st.pc[slot] + 1
-        st.pc[slot] = pc
-        nxt = issue_cycle + 1
-        if pc >= st.n_insts[slot]:
-            st.done[slot] = 1
-            st.cur[slot] = None
-            done = True
-            estimate = nxt
-        else:
-            nxt_entry = st.entries[slot][pc]
-            st.cur[slot] = nxt_entry
-            done = False
-            # One dependency walk per commit refreshes the slot's cached
-            # readiness (exact until the next commit: the scoreboard slice
-            # is single-writer and only the barrier release path raises
-            # stall_until, folding itself into next_ready there).
-            ready = st.stall_until[slot]
-            sb = st.sb
-            for reg in nxt_entry[IE_REGS]:
-                t = sb[base + reg]
-                if t > ready:
-                    ready = t
-            st.next_ready[slot] = ready
-            if st.barrier[slot]:
-                estimate = nxt
-            elif ready > nxt:
-                estimate = ready
-            else:
-                estimate = nxt
-        # Inlined GTOScheduler.note_issued (+ _qpush, bucket mode).
-        sched.issued += 1
-        sched._greedy = slot if not done else -1
-        sched._last_warp_id = st.warp_ids[slot]
-        if not done and sched._picked_from_heap:
-            if sched._bucketed:
-                bk = sched._buckets
-                b = bk.get(estimate)
-                if b is None:
-                    bk[estimate] = [1, slot]
-                    heapq.heappush(sched._bkeys, estimate)
-                else:
-                    b.append(slot)
-            else:
-                seq = sched._seq
-                sched._seq = seq + 1
-                heapq.heappush(sched._heap, (estimate, seq, slot))
-        sched._picked_from_heap = False
-        # Inlined StreamStats.note_issue / note_commit.
-        sstat = st.sstats[slot]
-        if sstat is None:
-            sstat = self.stats.stream(stream)
-        sstat.instructions += 1
-        sstat._issue_by_unit[ui] += 1
-        fic = sstat.first_issue_cycle
-        if fic is None or issue_cycle < fic:
-            sstat.first_issue_cycle = issue_cycle
-        if complete > sstat.last_commit_cycle:
-            sstat.last_commit_cycle = complete
-        self.issued_by_stream[stream] += 1
-        if done:
-            cta = st.warps[slot].cta
-            cta.live_warps -= 1
-            if cta.live_warps == 0:
-                lc = st.last_commit
-                last = 0
-                for w in cta.warps:
-                    t = lc[w.slot]
-                    if t > last:
-                        last = t
-                self._retire_cta(cta, last)
 
     def _barrier(self, warp: WarpContext, cycle: int) -> None:
         """CTA-wide barrier: block arriving warps until all have arrived."""

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, TYPE_CHECKING
 
-from ..isa import WarpInstruction, WarpTrace
-from ..isa.instructions import IE_DST, IE_INST, IE_REGS
+from ..isa import WarpTrace
+from ..isa.instructions import IE_REGS
 from .slots import SlotState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -36,12 +36,12 @@ class WarpContext:
 
     __slots__ = (
         "trace", "insts", "stream_entries", "stream", "cta", "warp_id",
-        "home_sched", "sstat", "state", "slot",
+        "home_sched", "state", "slot",
     )
 
     def __init__(self, trace: WarpTrace, stream: int, cta: "ResidentCTA",
-                 warp_id: int, sstat: Optional["StreamStats"] = None,
-                 state: Optional[SlotState] = None) -> None:
+                 warp_id: int, sstat: Optional["StreamStats"],
+                 state: SlotState) -> None:
         self.trace = trace
         self.insts = trace.instructions
         #: Flat per-warp issue tuples, shared with every replay of the trace.
@@ -50,15 +50,10 @@ class WarpContext:
         self.cta = cta
         self.warp_id = warp_id
         self.home_sched = 0
-        #: The owning stream's StreamStats, resolved once at launch so the
-        #: issue path never goes through ``stats.stream(id)``.
-        self.sstat = sstat
-        #: Flat state arrays this warp's slot indexes into.  An SM passes
-        #: its shared per-SM state; standalone contexts (unit tests) get a
-        #: private one.
-        if state is None:
-            state = SlotState()
+        #: Flat state arrays this warp's slot indexes into (the SM's).
         self.state = state
+        # ``sstat``, the owning stream's StreamStats, is resolved once at
+        # launch so the issue path never goes through ``stats.stream(id)``.
         self.slot = state.alloc(self, self.stream_entries,
                                 trace.num_renamed_regs(), warp_id,
                                 sstat=sstat, stream=stream)
@@ -90,24 +85,23 @@ class WarpContext:
 
     @stall_until.setter
     def stall_until(self, value: int) -> None:
+        # Fold into the cached readiness, as the barrier release does.
         st = self.state
         slot = self.slot
         st.stall_until[slot] = value
-        if not st.done[slot]:
-            st.next_ready[slot] = self._dep_walk(value)
-
-    @property
-    def last_issue_cycle(self) -> int:
-        return self.state.last_issue[self.slot]
+        if st.done[slot]:
+            return
+        sb = st.sb
+        base = st.sb_base[slot]
+        ready = value
+        for reg in st.cur[slot][IE_REGS]:
+            if sb[base + reg] > ready:
+                ready = sb[base + reg]
+        st.next_ready[slot] = ready
 
     @property
     def last_commit_cycle(self) -> int:
         return self.state.last_commit[self.slot]
-
-    @property
-    def cur(self) -> Optional[tuple]:
-        """The issue tuple at ``pc`` (None once the warp is done)."""
-        return self.state.cur[self.slot]
 
     @property
     def scoreboard(self) -> Dict[int, int]:
@@ -117,56 +111,6 @@ class WarpContext:
         only touches the underlying array.
         """
         return dict(enumerate(self.state.scoreboard_slice(self.slot)))
-
-    def peek(self) -> Optional[WarpInstruction]:
-        cur = self.state.cur[self.slot]
-        return None if cur is None else cur[IE_INST]
-
-    def _dep_walk(self, floor: int) -> int:
-        """``max(floor, dep ready cycles of the current instruction)``."""
-        st = self.state
-        slot = self.slot
-        sb = st.sb
-        base = st.sb_base[slot]
-        ready = floor
-        for reg in st.cur[slot][IE_REGS]:
-            t = sb[base + reg]
-            if t > ready:
-                ready = t
-        return ready
-
-    def dep_ready_cycle(self) -> int:
-        """Earliest cycle the next instruction's source operands are ready.
-
-        The destination register is also checked (WAW through the
-        scoreboard), mirroring GPGPU-Sim's per-warp in-order issue rules.
-        """
-        st = self.state
-        slot = self.slot
-        if st.done[slot] or st.barrier[slot]:
-            return BLOCKED
-        return self._dep_walk(st.stall_until[slot])
-
-    def commit_issue(self, inst: WarpInstruction, issue_cycle: int,
-                     complete_cycle: int) -> None:
-        """Advance past ``inst`` after it issues."""
-        st = self.state
-        slot = self.slot
-        entry = st.cur[slot]
-        rdst = entry[IE_DST]
-        if rdst >= 0:
-            st.sb[st.sb_base[slot] + rdst] = complete_cycle
-        st.last_issue[slot] = issue_cycle
-        if complete_cycle > st.last_commit[slot]:
-            st.last_commit[slot] = complete_cycle
-        pc = st.pc[slot] + 1
-        st.pc[slot] = pc
-        if pc >= st.n_insts[slot]:
-            st.done[slot] = 1
-            st.cur[slot] = None
-        else:
-            st.cur[slot] = st.entries[slot][pc]
-            st.next_ready[slot] = self._dep_walk(st.stall_until[slot])
 
     def __repr__(self) -> str:
         return "WarpContext(stream=%d, warp=%d, pc=%d/%d%s)" % (

@@ -1,8 +1,10 @@
 """Golden-snapshot manager for the reference workload.
 
-The serial engine is pinned by six golden stats snapshots
-(``tests/golden/sponza_hologram_nano_<policy>.json`` — the reference
-workload under every partition policy).  This module owns their lifecycle:
+The serial engine is pinned by seven golden stats snapshots
+(``tests/golden/sponza_hologram_nano_<name>.json``): the reference
+workload under every partition policy with the default GTO warp
+scheduler, plus ``mps_lrr``, the reference workload under mps with the
+loose-round-robin scheduler.  This module owns their lifecycle:
 
 * ``check(...)``  — recompute and diff against the snapshots on disk (the
   same comparison the tier-1 golden tests make, usable ad hoc).
@@ -24,11 +26,16 @@ from ..api import simulate
 from ..config import GPUConfig, get_preset
 from ..core.platform import POLICY_NAMES, collect_streams
 
-__all__ = ["GOLDEN_POLICIES", "QOS_GOLDEN_SCENARIOS", "default_golden_dir",
+__all__ = ["GOLDEN_RUNS", "GOLDEN_NAMES", "QOS_GOLDEN_SCENARIOS",
+           "default_golden_dir",
            "golden_path", "qos_golden_path", "reference_workload",
            "compute_golden", "compute_qos_golden", "regen", "check"]
 
-GOLDEN_POLICIES = POLICY_NAMES
+#: Golden snapshot name -> (partition policy, warp scheduler policy).
+GOLDEN_RUNS: Dict[str, Tuple[str, str]] = {p: (p, "gto")
+                                           for p in POLICY_NAMES}
+GOLDEN_RUNS["mps_lrr"] = ("mps", "lrr")
+GOLDEN_NAMES = tuple(GOLDEN_RUNS)
 _BASENAME = "sponza_hologram_nano_%s.json"
 
 #: QoS report snapshots: short adaptive runs of the steady and bursty
@@ -49,9 +56,9 @@ def default_golden_dir() -> str:
     return os.path.join(root, "tests", "golden")
 
 
-def golden_path(policy: str, golden_dir: Optional[str] = None) -> str:
+def golden_path(name: str, golden_dir: Optional[str] = None) -> str:
     return os.path.join(golden_dir or default_golden_dir(),
-                        _BASENAME % policy)
+                        _BASENAME % name)
 
 
 def qos_golden_path(scenario: str, golden_dir: Optional[str] = None) -> str:
@@ -76,8 +83,11 @@ def reference_workload(config: Optional[GPUConfig] = None):
     return config, streams
 
 
-def compute_golden(policy: str, config: GPUConfig, streams) -> dict:
-    """Canonical stats tree for one policy on the reference workload."""
+def compute_golden(name: str, config: GPUConfig, streams) -> dict:
+    """Canonical stats tree for one golden run on the reference workload."""
+    policy, scheduler = GOLDEN_RUNS[name]
+    if config.scheduler_policy != scheduler:
+        config = config.replace(scheduler_policy=scheduler)
     result = simulate(config=config, streams=streams, policy=policy)
     return json.loads(json.dumps(result.stats.to_dict(), sort_keys=True))
 
@@ -89,7 +99,7 @@ def _dump(tree: dict) -> str:
 
 
 def regen(golden_dir: Optional[str] = None,
-          policies: Sequence[str] = GOLDEN_POLICIES,
+          names: Sequence[str] = GOLDEN_NAMES,
           config: Optional[GPUConfig] = None,
           qos_scenarios: Sequence[str] = QOS_GOLDEN_SCENARIOS) -> List[str]:
     """Recompute and write the golden snapshots; returns written paths."""
@@ -97,9 +107,9 @@ def regen(golden_dir: Optional[str] = None,
     golden_dir = golden_dir or default_golden_dir()
     os.makedirs(golden_dir, exist_ok=True)
     written = []
-    for policy in policies:
-        tree = compute_golden(policy, config, streams)
-        path = golden_path(policy, golden_dir)
+    for name in names:
+        tree = compute_golden(name, config, streams)
+        path = golden_path(name, golden_dir)
         with open(path, "w", encoding="utf-8") as f:
             f.write(_dump(tree))
         written.append(path)
@@ -113,14 +123,14 @@ def regen(golden_dir: Optional[str] = None,
 
 
 def check(golden_dir: Optional[str] = None,
-          policies: Sequence[str] = GOLDEN_POLICIES,
+          names: Sequence[str] = GOLDEN_NAMES,
           config: Optional[GPUConfig] = None,
           qos_scenarios: Sequence[str] = QOS_GOLDEN_SCENARIOS
           ) -> Dict[str, str]:
     """Diff current engine output against the snapshots.
 
     Returns ``{name: problem}`` — empty means every snapshot matches
-    bit-for-bit.  Keys are policy names for the engine goldens and
+    bit-for-bit.  Keys are golden names for the engine goldens and
     ``"qos:<scenario>"`` for the QoS report goldens; ``problem`` is
     ``"missing snapshot"`` or the locus of the first difference.
     """
@@ -128,17 +138,17 @@ def check(golden_dir: Optional[str] = None,
 
     config, streams = reference_workload(config)
     problems: Dict[str, str] = {}
-    for policy in policies:
-        path = golden_path(policy, golden_dir)
+    for name in names:
+        path = golden_path(name, golden_dir)
         if not os.path.exists(path):
-            problems[policy] = "missing snapshot (%s)" % path
+            problems[name] = "missing snapshot (%s)" % path
             continue
         with open(path, "r", encoding="utf-8") as f:
             want = json.load(f)
-        got = compute_golden(policy, config, streams)
+        got = compute_golden(name, config, streams)
         diff = first_difference(want, got)
         if diff:
-            problems[policy] = diff
+            problems[name] = diff
     for scenario in qos_scenarios:
         key = "qos:%s" % scenario
         path = qos_golden_path(scenario, golden_dir)

@@ -4,57 +4,65 @@ The hot-path overhaul (global event heap, precomputed issue tuples,
 resolved set-mapping tables) is a pure refactor: simulated behaviour must
 be *bit-identical* to the pre-optimisation simulator.  These tests pin
 that contract by replaying the reference workload (sponza + hologram at
-nano on JetsonOrin-mini) under every partition policy and comparing the
-full ``GPUStats.to_dict()`` tree against snapshots in ``tests/golden/``,
-which were generated with the pre-overhaul code.
+nano on JetsonOrin-mini) under every partition policy, and under mps with
+the LRR warp scheduler, and comparing the full ``GPUStats.to_dict()`` tree
+against snapshots in ``tests/golden/``.  The golden list and the workload
+come from :mod:`repro.validate.goldens`, the module behind
+``repro validate check-goldens`` / ``regen-goldens``.
 
 If a deliberate model change alters the numbers, regenerate the snapshots
-(json.dump(stats.to_dict(), f, indent=1, sort_keys=True)) and say so in
-the commit message — never update them to paper over an accidental diff.
+(``repro validate regen-goldens``) and say so in the commit message —
+never update them to paper over an accidental diff.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import pytest
 
 from repro.api import simulate
-from repro.config import get_preset
-from repro.core.platform import collect_streams
-
-GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          "golden")
-POLICIES = ("shared", "mps", "mig", "fg-even", "warped-slicer", "tap")
+from repro.timing import SM
+from repro.validate import goldens
 
 
 @pytest.fixture(scope="module")
 def reference_workload():
     """(config, streams) for the golden workload, built once per module."""
-    config = get_preset("JetsonOrin-mini")
-    streams = collect_streams(config, scene="SPL", res="nano",
-                              compute="HOLO")
-    return config, streams
+    return goldens.reference_workload()
 
 
-def _canonical(stats) -> dict:
-    # Round-trip through JSON so int dict keys and tuples collapse to the
-    # same shapes the golden files hold.
-    return json.loads(json.dumps(stats.to_dict(), sort_keys=True))
-
-
-@pytest.mark.parametrize("policy", POLICIES)
-def test_golden_stats(reference_workload, policy):
+@pytest.mark.parametrize("name", goldens.GOLDEN_NAMES)
+def test_golden_stats(reference_workload, name):
     config, streams = reference_workload
-    path = os.path.join(GOLDEN_DIR, "sponza_hologram_nano_%s.json" % policy)
-    with open(path, "r", encoding="utf-8") as f:
+    with open(goldens.golden_path(name), "r", encoding="utf-8") as f:
         golden = json.load(f)
-    stats = simulate(config=config, streams=streams, policy=policy).stats
-    got = _canonical(stats)
+    got = goldens.compute_golden(name, config, streams)
     assert got == golden, (
-        "GPUStats diverged from golden snapshot under policy=%s" % policy)
+        "GPUStats diverged from golden snapshot %s" % name)
+
+
+def test_no_sm_ticks_twice_per_cycle(reference_workload, monkeypatch):
+    """A CTA completion refills SMs mid-cycle; an SM that was already due
+    must still tick only once in that cycle."""
+    config, streams = reference_workload
+    seen = set()
+    repeats = []
+    real_tick = SM.tick
+
+    def tick(sm, cycle):
+        key = (sm.sm_id, cycle)
+        if key in seen:
+            repeats.append(key)
+        seen.add(key)
+        return real_tick(sm, cycle)
+
+    monkeypatch.setattr(SM, "tick", tick)
+    stats = simulate(config=config, streams=streams, policy="mps").stats
+    assert stats.total_instructions > 0
+    assert repeats == [], "%d (sm, cycle) pairs ticked twice, first %r" % (
+        len(repeats), repeats[:3])
 
 
 def test_simrate_smoke(reference_workload):

@@ -159,29 +159,13 @@ class TestSchedulerPolicies:
         assert stats.stream(0).kernels_completed > 0
 
     def test_lrr_rotates_across_warps(self):
-        from repro.timing import GTOScheduler, SchedulerUnits
-        from repro.timing.warp import WarpContext
+        from tests.test_timing_core import ffma_warp, make_sm, tick
 
-        class _CTA:
-            pass
-
-        s = GTOScheduler(0, SchedulerUnits(), policy="lrr")
-        warps = []
+        sm = make_sm("lrr")
+        # Hazard-free streams: every warp is always ready.
         for wid in range(3):
-            # Hazard-free streams: every warp is always ready.
-            wt = WarpTrace([WarpInstruction(Op.FFMA, dst=8 + wid * 8 + i)
-                            for i in range(4)])
-            w = WarpContext(wt, 0, _CTA(), warp_id=wid, state=s.state)
-            warps.append(w)
-            s.add_warp(w)
-        order = []
-        for cycle in range(6):
-            slot = s.pick(cycle)
-            assert slot >= 0
-            w = s.state.warps[slot]
-            w.commit_issue(w.peek(), cycle, cycle + 4)
-            s.note_issued(slot, cycle + 1)
-            order.append(w.warp_id)
+            ffma_warp(sm, 4, warp_id=wid)
+        order = [tick(sm, cycle).warp_id for cycle in range(6)]
         # Round robin: no warp issues twice before the others issue once.
         assert order[:3] in ([0, 1, 2], [1, 2, 0], [2, 0, 1])
         assert order[3:6] == order[:3]

@@ -252,20 +252,25 @@ class TestServeSmoke:
 
     def test_queue_and_submit_dedupe_over_http(self, serve_stack):
         """The server no longer queues or dedupes submitted jobs: there is
-        no queue snapshot, and no route (the old job-submission one
-        included) takes a POST."""
+        no queue snapshot, and every non-GET request (the old
+        job-submission POST included) answers 405 with a JSON error."""
         server, _ = serve_stack
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(server, "/queue")
         assert err.value.code == 404
         body = json.dumps({"scene": "SPL", "policy": "tap"}).encode()
-        for route in ("submit", "runs"):
+        for method, route in (("POST", "submit"), ("POST", "runs"),
+                              ("DELETE", "runs/1"), ("BREW", "")):
             req = urllib.request.Request(
-                server.url + "/" + route, data=body, method="POST",
+                server.url + "/" + route, data=body, method=method,
                 headers={"Content-Type": "application/json"})
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(req, timeout=15)
-            assert not 200 <= err.value.code < 300, route
+            assert err.value.code == 405, (method, route)
+            assert err.value.headers["Allow"] == "GET"
+            assert err.value.headers["Content-Type"].startswith(
+                "application/json")
+            assert method in json.loads(err.value.read())["error"]
 
     def test_events_json_and_sse(self, serve_stack):
         """The job event feed is gone in both forms: the JSON poll route

@@ -1,7 +1,12 @@
-"""Tests for warp state, schedulers, and execution-unit pipes."""
+"""Tests for warp state, schedulers, and execution-unit pipes.
 
-import pytest
+Scheduler and warp behaviour is driven through the path that runs in a
+simulation: an SM with one warp scheduler, hand-built resident CTAs and
+``SM.tick``.  The warp that issued at a tick is read from the SM's slot
+state.
+"""
 
+from repro.config import RTX_3070_MINI
 from repro.isa import (
     CTATrace,
     DataClass,
@@ -12,16 +17,68 @@ from repro.isa import (
     WarpInstruction,
     WarpTrace,
 )
-from repro.timing import BLOCKED, GTOScheduler, SchedulerUnits, UnitPipe, WarpContext
+from repro.memory import L2Cache
+from repro.timing import BLOCKED, SM, GPUStats, UnitPipe, WarpContext
+from repro.timing.sm import ResidentCTA
 
 
-class _FakeCTA:
-    """Stand-in resident CTA for warp-level unit tests."""
+def make_sm(policy="gto"):
+    """An SM with a single warp scheduler running ``policy``."""
+    config = RTX_3070_MINI.replace(schedulers_per_sm=1,
+                                   scheduler_policy=policy)
+    return SM(0, config, L2Cache(config), GPUStats())
 
 
-def make_warp(instrs, warp_id=0):
-    return WarpContext(WarpTrace(list(instrs)), stream=0, cta=_FakeCTA(),
-                       warp_id=warp_id)
+def add_warp(sm, instrs, warp_id=0):
+    """Make a one-warp CTA resident on ``sm`` and queue its warp.
+
+    Hand-built rather than launched so a test picks the warp id (the LRR
+    rotation key) freely, up to the 4096 wrap.
+    """
+    trace = WarpTrace(list(instrs))
+    kernel = KernelTrace("k", [CTATrace([trace], 0)], threads_per_cta=32)
+    cta = ResidentCTA(kernel, kernel.ctas[0], kernel.cta_resources(32), 0)
+    w = WarpContext(trace, 0, cta, warp_id=warp_id,
+                    sstat=sm.stats.stream(0), state=sm.slot_state)
+    cta.warps.append(w)
+    cta.live_warps = 0 if w.done else 1
+    sm.resident.append(cta)
+    sm.issued_by_stream.setdefault(0, 0)
+    sm.schedulers[0].add_warp(w.slot)
+    return w
+
+
+def ffma_warp(sm, n_instrs=1, warp_id=0):
+    """A warp of ``n_instrs`` independent FFMAs (ready every cycle)."""
+    return add_warp(sm, [WarpInstruction(Op.FFMA, dst=8 + i)
+                         for i in range(n_instrs)], warp_id=warp_id)
+
+
+def tick(sm, cycle):
+    """``sm.tick(cycle)``; the WarpContext that issued, or None."""
+    st = sm.slot_state
+    before = list(st.pc)
+    sm.tick(cycle)
+    issued = [s for s in range(st.count) if st.pc[s] != before[s]]
+    assert len(issued) <= 1, "one scheduler issued more than once"
+    return st.warps[issued[0]] if issued else None
+
+
+def next_event(sm):
+    """The scheduler's cached next cycle (its queue horizon)."""
+    return sm.schedulers[0].next_event_cache
+
+
+def park(w):
+    w.barrier_wait = True
+
+
+def unpark(sm, w, release):
+    """What SM._barrier does on release: clear the flag, hold the warp to
+    the release cycle and wake it there."""
+    w.barrier_wait = False
+    w.stall_until = release
+    sm.schedulers[0].wake(w.slot, release)
 
 
 class TestUnitPipe:
@@ -44,127 +101,126 @@ class TestUnitPipe:
 
 class TestWarpContext:
     def test_empty_trace_is_done(self):
-        w = make_warp([])
+        sm = make_sm()
+        w = add_warp(sm, [])
         assert w.done
-        assert w.peek() is None
+        assert tick(sm, 0) is None
+        assert next_event(sm) == BLOCKED
 
     def test_dependency_blocks_until_writeback(self):
-        w = make_warp([
+        sm = make_sm()
+        w = add_warp(sm, [
             WarpInstruction(Op.LDG, dst=4, mem=MemAccess([0], DataClass.COMPUTE)),
             WarpInstruction(Op.FFMA, dst=8, srcs=(4,)),
         ])
-        inst = w.peek()
-        w.commit_issue(inst, issue_cycle=0, complete_cycle=300)
-        assert w.dep_ready_cycle() == 300
+        assert tick(sm, 0) is w
+        writeback = w.last_commit_cycle  # the load's completion (RAW)
+        assert writeback > 30
+        assert tick(sm, 1) is None
+        assert next_event(sm) == writeback
+        assert tick(sm, writeback) is w
 
     def test_waw_hazard_checked(self):
-        w = make_warp([
+        sm = make_sm()
+        w = add_warp(sm, [
             WarpInstruction(Op.FFMA, dst=4, srcs=(1,)),
             WarpInstruction(Op.FFMA, dst=4, srcs=(2,)),
         ])
-        w.commit_issue(w.peek(), 0, 4)
-        assert w.dep_ready_cycle() == 4
+        assert tick(sm, 0) is w
+        assert tick(sm, 1) is None  # dst 4 still in flight (FFMA: 4 cycles)
+        assert next_event(sm) == 4
+        assert tick(sm, 4) is w
 
     def test_independent_instruction_ready_immediately(self):
-        w = make_warp([
+        sm = make_sm()
+        w = add_warp(sm, [
             WarpInstruction(Op.FFMA, dst=4, srcs=(1,)),
             WarpInstruction(Op.FFMA, dst=8, srcs=(2,)),
         ])
-        w.commit_issue(w.peek(), 0, 4)
-        assert w.dep_ready_cycle() == 0
+        assert tick(sm, 0) is w
+        assert tick(sm, 1) is w
 
     def test_stall_until_enforced(self):
-        w = make_warp([WarpInstruction(Op.FFMA, dst=4)])
+        sm = make_sm()
+        w = add_warp(sm, [WarpInstruction(Op.FFMA, dst=4)])
         w.stall_until = 77
-        assert w.dep_ready_cycle() == 77
+        assert tick(sm, 0) is None
+        assert next_event(sm) == 77
+        assert tick(sm, 77) is w
 
     def test_barrier_wait_blocks(self):
-        w = make_warp([WarpInstruction(Op.FFMA, dst=4)])
-        w.barrier_wait = True
-        assert w.dep_ready_cycle() == BLOCKED
+        sm = make_sm()
+        w = add_warp(sm, [WarpInstruction(Op.FFMA, dst=4)])
+        park(w)
+        assert tick(sm, 0) is None
+        assert next_event(sm) == BLOCKED
 
     def test_done_after_last_instruction(self):
-        w = make_warp([WarpInstruction(Op.EXIT)])
-        w.commit_issue(w.peek(), 0, 1)
+        sm = make_sm()
+        w = add_warp(sm, [WarpInstruction(Op.EXIT)])
+        assert not w.done
+        assert tick(sm, 0) is w
         assert w.done
 
 
 class TestGTOScheduler:
-    """Slot-based scheduler API: warps share the scheduler's SlotState,
-    ``pick`` returns the chosen warp slot (-1 when stalled)."""
-
-    def make(self):
-        return GTOScheduler(0, SchedulerUnits())
-
-    def add(self, s, instrs, warp_id=0):
-        w = WarpContext(WarpTrace(list(instrs)), stream=0, cta=_FakeCTA(),
-                        warp_id=warp_id, state=s.state)
-        s.add_warp(w)
-        return w
-
     def test_pick_returns_ready_warp(self):
-        s = self.make()
-        w = self.add(s, [WarpInstruction(Op.FFMA, dst=4)])
-        assert s.pick(0) == w.slot
+        sm = make_sm()
+        w = ffma_warp(sm)
+        assert tick(sm, 0) is w
 
     def test_pick_negative_when_empty(self):
-        assert self.make().pick(0) == -1
+        sm = make_sm()
+        assert tick(sm, 0) is None
+        assert next_event(sm) == BLOCKED
 
     def test_greedy_prefers_last_issued(self):
-        s = self.make()
-        a = self.add(s, [WarpInstruction(Op.FFMA, dst=4)] * 3, warp_id=0)
-        b = self.add(s, [WarpInstruction(Op.FFMA, dst=4)] * 3, warp_id=1)
-        slot = s.pick(0)
-        w = s.state.warps[slot]
-        w.commit_issue(w.peek(), 0, 4)
-        s.note_issued(slot, 1)
-        # Same warp is preferred while ready (greedy). Use a later cycle so
-        # the WAW hazard is resolved.
-        assert s.pick(8) == slot
-        assert slot in (a.slot, b.slot)
+        sm = make_sm()
+        a = add_warp(sm, [WarpInstruction(Op.FFMA, dst=4)] * 3, warp_id=0)
+        b = add_warp(sm, [WarpInstruction(Op.FFMA, dst=4)] * 3, warp_id=1)
+        first = tick(sm, 0)
+        assert first in (a, b)
+        # Both warps are ready once the WAW hazard clears; the one that
+        # issued last is preferred (greedy).
+        assert tick(sm, 8) is first
+        assert tick(sm, 16) is first
 
     def test_oldest_selected_when_greedy_stalled(self):
-        s = self.make()
-        a = self.add(s, [
+        sm = make_sm()
+        a = add_warp(sm, [
             WarpInstruction(Op.FFMA, dst=4),
             WarpInstruction(Op.FFMA, dst=8, srcs=(4,)),
         ], warp_id=0)
-        b = self.add(s, [WarpInstruction(Op.FFMA, dst=4)], warp_id=1)
-        slot = s.pick(0)
-        assert slot == a.slot  # oldest first
-        a.commit_issue(a.peek(), 0, 4)
-        s.note_issued(slot, 4)
+        b = ffma_warp(sm, warp_id=1)
+        assert tick(sm, 0) is a  # oldest first
         # a now stalls on its dependency until cycle 4 -> b is picked.
-        assert s.pick(1) == b.slot
+        assert tick(sm, 1) is b
 
     def test_done_warps_dropped(self):
-        s = self.make()
-        w = self.add(s, [WarpInstruction(Op.EXIT)])
-        slot = s.pick(0)
-        w.commit_issue(w.peek(), 0, 1)
-        s.note_issued(slot, 1)
-        assert s.pick(1) == -1
-        assert s.next_event(1) == BLOCKED
+        sm = make_sm()
+        w = add_warp(sm, [WarpInstruction(Op.EXIT)])
+        assert tick(sm, 0) is w
+        assert tick(sm, 1) is None
+        assert next_event(sm) == BLOCKED
 
     def test_next_event_reports_dependency_time(self):
-        s = self.make()
-        w = self.add(s, [
+        sm = make_sm()
+        w = add_warp(sm, [
             WarpInstruction(Op.LDG, dst=4, mem=MemAccess([0], DataClass.COMPUTE)),
             WarpInstruction(Op.FFMA, dst=8, srcs=(4,)),
         ])
-        slot = s.pick(0)
-        w.commit_issue(w.peek(), 0, 250)
-        s.note_issued(slot, 250)
-        assert s.next_event(1) == 250
+        assert tick(sm, 0) is w
+        assert tick(sm, 1) is None
+        assert sm.schedulers[0].next_event(1) == w.last_commit_cycle
+        assert next_event(sm) == w.last_commit_cycle
 
     def test_wake_requeues_parked_warp(self):
-        s = self.make()
-        w = self.add(s, [WarpInstruction(Op.FFMA, dst=4)])
-        w.barrier_wait = True
-        assert s.pick(0) == -1  # parked entry dropped
-        w.barrier_wait = False
-        s.wake(w, 5)
-        assert s.pick(5) == w.slot
+        sm = make_sm()
+        w = ffma_warp(sm)
+        park(w)
+        assert tick(sm, 0) is None  # parked entry dropped
+        unpark(sm, w, 5)
+        assert tick(sm, 5) is w
 
 
 class TestLRRWrapAround:
@@ -172,137 +228,101 @@ class TestLRRWrapAround:
     after warp id 4095 issues, id 0 is "next", and ids just above the last
     issued id always beat ids far below it."""
 
-    def make(self):
-        return GTOScheduler(0, SchedulerUnits(), policy="lrr")
-
-    def add(self, s, n_instrs, warp_id):
-        w = WarpContext(
-            WarpTrace([WarpInstruction(Op.FFMA, dst=8 + i)
-                       for i in range(n_instrs)]),
-            stream=0, cta=_FakeCTA(), warp_id=warp_id, state=s.state)
-        s.add_warp(w)
-        return w
-
-    def issue(self, s, cycle):
-        slot = s.pick(cycle)
-        assert slot >= 0
-        w = s.state.warps[slot]
-        w.commit_issue(w.peek(), cycle, cycle + 1)
-        s.note_issued(slot, cycle + 1)
+    def issue(self, sm, cycle):
+        w = tick(sm, cycle)
+        assert w is not None
         return w
 
     def test_id_above_last_beats_id_below(self):
-        s = self.make()
-        seed = self.add(s, 1, warp_id=4094)  # one instr: sets last, then done
-        assert self.issue(s, 0) is seed
-        lo = self.add(s, 2, warp_id=0)
-        hi = self.add(s, 2, warp_id=4095)
+        sm = make_sm("lrr")
+        seed = ffma_warp(sm, 1, warp_id=4094)  # sets last, then done
+        assert self.issue(sm, 0) is seed
+        ffma_warp(sm, 2, warp_id=0)
+        hi = ffma_warp(sm, 2, warp_id=4095)
         # last issued id is 4094: id 4095 (distance 0 mod 4096) must beat
         # id 0 (distance 1 mod 4096).  An unwrapped comparison would pick 0.
-        assert self.issue(s, 1) is hi
+        assert self.issue(sm, 1) is hi
 
     def test_wraps_from_4095_to_zero(self):
-        s = self.make()
-        seed = self.add(s, 1, warp_id=4095)
-        assert self.issue(s, 0) is seed
-        a = self.add(s, 2, warp_id=0)
-        b = self.add(s, 2, warp_id=1)
+        sm = make_sm("lrr")
+        seed = ffma_warp(sm, 1, warp_id=4095)
+        assert self.issue(sm, 0) is seed
+        a = ffma_warp(sm, 2, warp_id=0)
+        b = ffma_warp(sm, 2, warp_id=1)
         # last = 4095 == modulo boundary: round robin restarts at id 0.
-        assert self.issue(s, 1) is a
-        assert self.issue(s, 2) is b
+        assert self.issue(sm, 1) is a
+        assert self.issue(sm, 2) is b
 
     def test_full_rotation_across_boundary(self):
-        s = self.make()
-        warps = [self.add(s, 4, warp_id=wid) for wid in (4093, 4095, 2)]
-        order = [self.issue(s, cycle).warp_id for cycle in range(6)]
+        sm = make_sm("lrr")
+        for wid in (4093, 4095, 2):
+            ffma_warp(sm, 4, warp_id=wid)
+        order = [self.issue(sm, cycle).warp_id for cycle in range(6)]
         # First lap starts from the lowest id (nothing issued yet), then
         # rotation proceeds ascending-from-last, wrapping 4095 -> 2.
         assert order == [2, 4093, 4095, 2, 4093, 4095]
-        assert len(warps) == 3
+
+    def test_equal_ids_first_queued_wins(self):
+        """Warps of different CTAs share ids; on a tie the entry first in
+        queue order (ascending estimate, FIFO within one) issues."""
+        sm = make_sm("lrr")
+        x = ffma_warp(sm, 2, warp_id=0)
+        y = ffma_warp(sm, 2, warp_id=0)
+        order = [self.issue(sm, cycle) for cycle in range(4)]
+        # x wins cycle 0 and is re-queued at 1, behind y's entry at 0.
+        assert order == [x, y, x, y]
 
 
 class TestBarrierWakeOrdering:
     """Parked warps re-enter the issue queue via wake(); order and timing
-    must follow (release cycle, wake call order) under the flat-state
-    bucket queue exactly as they did under the heap."""
-
-    def make(self):
-        return GTOScheduler(0, SchedulerUnits())
-
-    def add(self, s, warp_id=0, n_instrs=1):
-        w = WarpContext(
-            WarpTrace([WarpInstruction(Op.FFMA, dst=8 + i)
-                       for i in range(n_instrs)]),
-            stream=0, cta=_FakeCTA(), warp_id=warp_id, state=s.state)
-        s.add_warp(w)
-        return w
-
-    def park(self, w):
-        w.barrier_wait = True
-
-    def issue(self, s, cycle):
-        slot = s.pick(cycle)
-        assert slot >= 0
-        w = s.state.warps[slot]
-        w.commit_issue(w.peek(), cycle, cycle + 1)
-        s.note_issued(slot, cycle + 1)
-        return w
+    follow (release cycle, wake call order)."""
 
     def test_wake_fifo_within_release_cycle(self):
-        s = self.make()
-        w0, w1, w2 = (self.add(s, warp_id=i) for i in range(3))
+        sm = make_sm()
+        w0, w1, w2 = (ffma_warp(sm, warp_id=i) for i in range(3))
         for w in (w0, w1, w2):
-            self.park(w)
-        assert s.pick(0) == -1
+            park(w)
+        assert tick(sm, 0) is None
         # Wake out of slot order: FIFO must follow wake() call order.
         for w in (w2, w0, w1):
-            w.barrier_wait = False
-            s.wake(w, 5)
-        assert s.pick(4) == -1  # release cycle not reached
-        assert self.issue(s, 5) is w2
-        assert self.issue(s, 5) is w0
-        assert self.issue(s, 5) is w1
+            unpark(sm, w, 5)
+        assert tick(sm, 4) is None  # release cycle not reached
+        assert [tick(sm, c) for c in (5, 6, 7)] == [w2, w0, w1]
 
     def test_wake_respects_release_cycles(self):
-        s = self.make()
-        early = self.add(s, warp_id=0)
-        late = self.add(s, warp_id=1)
-        self.park(early)
-        self.park(late)
-        # Mirror SM._barrier's release: fold the release cycle into the
-        # warp's stall (the flat next_ready array) before re-queueing it.
-        late.barrier_wait = False
-        late.stall_until = 9
-        s.wake(late, 9)
-        early.barrier_wait = False
-        early.stall_until = 3
-        s.wake(early, 3)
+        sm = make_sm()
+        early = ffma_warp(sm, warp_id=0)
+        late = ffma_warp(sm, warp_id=1)
+        park(early)
+        park(late)
+        unpark(sm, late, 9)
+        unpark(sm, early, 3)
         # Earlier release wins even though it was woken second.
-        assert self.issue(s, 3) is early
-        assert s.pick(4) == -1
-        assert s.next_event(4) == 9
-        assert self.issue(s, 9) is late
+        assert tick(sm, 3) is early
+        assert tick(sm, 4) is None
+        assert next_event(sm) == 9
+        assert tick(sm, 9) is late
 
     def test_wake_folds_with_stall_until(self):
-        s = self.make()
-        w = self.add(s)
-        self.park(w)
+        sm = make_sm()
+        w = ffma_warp(sm)
+        park(w)
         w.barrier_wait = False
         w.stall_until = 7  # scoreboard-side stall outlives the barrier
-        s.wake(w, 5)
-        # The cycle-5 entry is stale-low: pick re-validates against the
-        # flat next_ready array and re-queues at the corrected cycle.
-        assert s.pick(5) == -1
-        assert s.pick(6) == -1
-        assert s.pick(7) == w.slot
+        sm.schedulers[0].wake(w.slot, 5)
+        # The cycle-5 entry is stale-low: the sweep re-validates against
+        # the flat next_ready array and re-queues at the corrected cycle.
+        assert tick(sm, 5) is None
+        assert next_event(sm) == 7
+        assert tick(sm, 6) is None
+        assert tick(sm, 7) is w
 
     def test_wake_while_still_parked_stays_parked(self):
-        s = self.make()
-        w = self.add(s)
-        self.park(w)
-        s.wake(w, 2)  # spurious wake: barrier flag still set
-        assert s.pick(2) == -1
-        assert s.next_event(2) == BLOCKED
-        w.barrier_wait = False
-        s.wake(w, 4)
-        assert s.pick(4) == w.slot
+        sm = make_sm()
+        w = ffma_warp(sm)
+        park(w)
+        sm.schedulers[0].wake(w.slot, 2)  # spurious: barrier flag still set
+        assert tick(sm, 2) is None
+        assert next_event(sm) == BLOCKED
+        unpark(sm, w, 4)
+        assert tick(sm, 4) is w

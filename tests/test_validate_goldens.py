@@ -14,7 +14,7 @@ import pytest
 
 from repro.validate import check_goldens, regen_goldens
 from repro.validate.goldens import (
-    GOLDEN_POLICIES,
+    GOLDEN_NAMES,
     QOS_GOLDEN_SCENARIOS,
     compute_golden,
     compute_qos_golden,
@@ -40,13 +40,13 @@ def test_check_current_engine_matches_snapshots():
 
 def test_regen_is_byte_identical_for_unchanged_engine(tmp_path):
     written = regen_goldens(golden_dir=str(tmp_path))
-    assert len(written) == len(GOLDEN_POLICIES) + len(QOS_GOLDEN_SCENARIOS)
-    for policy in GOLDEN_POLICIES:
-        fresh = golden_path(policy, str(tmp_path))
-        checked_in = golden_path(policy)
+    assert len(written) == len(GOLDEN_NAMES) + len(QOS_GOLDEN_SCENARIOS)
+    for name in GOLDEN_NAMES:
+        fresh = golden_path(name, str(tmp_path))
+        checked_in = golden_path(name)
         assert filecmp.cmp(fresh, checked_in, shallow=False), (
             "regen-goldens no longer reproduces the checked-in bytes for "
-            "policy %r" % policy)
+            "golden %r" % name)
     for scenario in QOS_GOLDEN_SCENARIOS:
         fresh = qos_golden_path(scenario, str(tmp_path))
         checked_in = qos_golden_path(scenario)
@@ -57,7 +57,7 @@ def test_regen_is_byte_identical_for_unchanged_engine(tmp_path):
 
 def test_check_reports_missing_snapshot(tmp_path):
     problems = check_goldens(golden_dir=str(tmp_path),
-                             policies=("mps",), qos_scenarios=())
+                             names=("mps",), qos_scenarios=())
     assert "missing snapshot" in problems["mps"]
 
 
@@ -68,7 +68,7 @@ def test_check_localises_a_difference(tmp_path):
     path = golden_path("mps", str(tmp_path))
     with open(path, "w", encoding="utf-8") as f:
         json.dump(tree, f, indent=1, sort_keys=True)
-    problems = check_goldens(golden_dir=str(tmp_path), policies=("mps",),
+    problems = check_goldens(golden_dir=str(tmp_path), names=("mps",),
                              qos_scenarios=())
     assert "$.cycles" in problems["mps"]
 
@@ -79,21 +79,21 @@ def test_check_localises_a_qos_difference(tmp_path):
     path = qos_golden_path("steady", str(tmp_path))
     with open(path, "w", encoding="utf-8") as f:
         json.dump(tree, f, indent=1, sort_keys=True)
-    problems = check_goldens(golden_dir=str(tmp_path), policies=(),
+    problems = check_goldens(golden_dir=str(tmp_path), names=(),
                              qos_scenarios=("steady",))
     assert "$.total_cycles" in problems["qos:steady"]
 
 
 def test_qos_golden_reports_missing_snapshot(tmp_path):
-    problems = check_goldens(golden_dir=str(tmp_path), policies=(),
+    problems = check_goldens(golden_dir=str(tmp_path), names=(),
                              qos_scenarios=("bursty",))
     assert "missing snapshot" in problems["qos:bursty"]
 
 
-@pytest.mark.parametrize("policy", GOLDEN_POLICIES)
-def test_snapshot_format_is_canonical(policy):
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_snapshot_format_is_canonical(name):
     """sorted keys, indent=1, no trailing newline — diffs stay reviewable."""
-    with open(golden_path(policy), "r", encoding="utf-8") as f:
+    with open(golden_path(name), "r", encoding="utf-8") as f:
         raw = f.read()
     assert raw == json.dumps(json.loads(raw), indent=1, sort_keys=True)
 
